@@ -37,17 +37,9 @@ from .cm import (
     count_cm_representatives,
     is_cm_j,
 )
-from .cuspidal import (
-    CubicParam,
-    count_points,
-    cubic_param,
-    enumerate_points,
-    point_bound,
-    point_from_parameter,
-)
+from .cuspidal import CubicParam, cubic_param
 from .exactarith import (
     Factorization,
-    Rational,
     count_kfree,
     factorize,
     factorize_rational,
@@ -55,7 +47,6 @@ from .exactarith import (
     iroot,
     is_kfree,
     is_prime,
-    moebius,
     moebius_sieve,
     ord_p,
     zeta_value,
@@ -70,6 +61,7 @@ from .families import (
     count_curves_with_j,
     count_representatives,
     count_representatives_with_j,
+    count_singular,
     cubic_coefficient,
     curve_from_parameter,
     discriminant,

@@ -7,8 +7,8 @@ leading coefficients involve zeta values:
     representatives, fixed j:  2 / (beta^(1/2) zeta(6)) X^(1/2)      (j = 0)
                                2 / (alpha^(1/3) zeta(4)) X^(1/3)     (j = 1728)
                                2 c(j) / zeta(2) X^(1/6)              (generic j)
-    CM representatives:        sum of the three shapes, with the generic
-                               coefficients summed into one constant.
+    CM representatives:        sum of the thirteen fixed-j terms; the
+                               generic c(j) add up to cm_coefficient_sum.
 
 Here c(j) is the sixth root of the exact rational min stored in
 ``families.JInvariantData``; it is evaluated from that rational at high
@@ -35,6 +35,7 @@ from .families import j_invariant_data
 from .heights import HeightSpec
 
 _DPS = 50
+_DENSITY_ZETA = {"all": 10, "j0": 6, "j1728": 4, "j_other": 2}
 
 
 def _mpf(q: int | Fraction) -> mpmath.mpf:
@@ -63,75 +64,63 @@ def cm_coefficient_sum(spec: HeightSpec) -> mpmath.mpf:
         )
 
 
+def _main_term(
+    family: str | int | Fraction, spec: HeightSpec, bound: int | Fraction, representatives: bool
+) -> mpmath.mpf:
+    """Leading term of a family's count at height cutoff bound.
+
+    family is "all", "cm" (the sum over the thirteen CM invariants) or a
+    fixed j-invariant.  Representative counts carry the factor 1/zeta(s) of
+    the family's density, s from _DENSITY_ZETA.
+    """
+    with mpmath.workdps(_DPS):
+        if family == "cm":
+            return mpmath.fsum(_main_term(o.j, spec, bound, representatives) for o in CM_ORDERS)
+        x = _mpf(bound)
+        x_alpha, x_beta = x / _mpf(spec.alpha), x / _mpf(spec.beta)
+        if family == "all":
+            key, term = "all", 4 * mpmath.cbrt(x_alpha) * mpmath.sqrt(x_beta)
+        elif family == 0:
+            key, term = "j0", 2 * mpmath.sqrt(x_beta)
+        elif family == 1728:
+            key, term = "j1728", 2 * mpmath.cbrt(x_alpha)
+        else:
+            key, term = "j_other", 2 * fixed_j_coefficient(family, spec) * mpmath.root(x, 6)
+        return term / zeta_value(_DENSITY_ZETA[key]) if representatives else term
+
+
 def main_term_representatives(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Leading term of the representative count over all j."""
-    with mpmath.workdps(_DPS):
-        x = _mpf(bound)
-        coeff = 4 / (
-            mpmath.cbrt(_mpf(spec.alpha)) * mpmath.sqrt(_mpf(spec.beta)) * zeta_value(10)
-        )
-        return coeff * x ** (mpmath.mpf(5) / 6)
+    return _main_term("all", spec, bound, True)
 
 
 def main_term_curves(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Leading term of the all-curves count (no zeta factor)."""
-    with mpmath.workdps(_DPS):
-        x = _mpf(bound)
-        coeff = 4 / (mpmath.cbrt(_mpf(spec.alpha)) * mpmath.sqrt(_mpf(spec.beta)))
-        return coeff * x ** (mpmath.mpf(5) / 6)
+    return _main_term("all", spec, bound, False)
 
 
 def main_term_representatives_with_j(
     j: int | Fraction, spec: HeightSpec, bound: int | Fraction
 ) -> mpmath.mpf:
     """Leading term of the fixed-j representative count."""
-    j = Fraction(j)
-    with mpmath.workdps(_DPS):
-        x = _mpf(bound)
-        if j == 0:
-            return 2 / (mpmath.sqrt(_mpf(spec.beta)) * zeta_value(6)) * mpmath.sqrt(x)
-        if j == 1728:
-            return 2 / (mpmath.cbrt(_mpf(spec.alpha)) * zeta_value(4)) * mpmath.cbrt(x)
-        return 2 * fixed_j_coefficient(j, spec) / zeta_value(2) * mpmath.root(x, 6)
+    return _main_term(Fraction(j), spec, bound, True)
 
 
 def main_term_curves_with_j(
     j: int | Fraction, spec: HeightSpec, bound: int | Fraction
 ) -> mpmath.mpf:
     """Leading term of the fixed-j all-curves count."""
-    j = Fraction(j)
-    with mpmath.workdps(_DPS):
-        x = _mpf(bound)
-        if j == 0:
-            return 2 / mpmath.sqrt(_mpf(spec.beta)) * mpmath.sqrt(x)
-        if j == 1728:
-            return 2 / mpmath.cbrt(_mpf(spec.alpha)) * mpmath.cbrt(x)
-        return 2 * fixed_j_coefficient(j, spec) * mpmath.root(x, 6)
+    return _main_term(Fraction(j), spec, bound, False)
 
 
 def cm_asymptotic(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Three-term expansion of the CM representative count."""
-    with mpmath.workdps(_DPS):
-        x = _mpf(bound)
-        return (
-            2 / (mpmath.sqrt(_mpf(spec.beta)) * zeta_value(6)) * mpmath.sqrt(x)
-            + 2 / (mpmath.cbrt(_mpf(spec.alpha)) * zeta_value(4)) * mpmath.cbrt(x)
-            + 2 * cm_coefficient_sum(spec) / zeta_value(2) * mpmath.root(x, 6)
-        )
+    return _main_term("cm", spec, bound, True)
 
 
 def cm_curves_asymptotic(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Three-term expansion of the CM all-curves count (no zeta factors)."""
-    with mpmath.workdps(_DPS):
-        x = _mpf(bound)
-        return (
-            2 / mpmath.sqrt(_mpf(spec.beta)) * mpmath.sqrt(x)
-            + 2 / mpmath.cbrt(_mpf(spec.alpha)) * mpmath.cbrt(x)
-            + 2 * cm_coefficient_sum(spec) * mpmath.root(x, 6)
-        )
-
-
-_DENSITY_ZETA = {"all": 10, "j0": 6, "j1728": 4, "j_other": 2}
+    return _main_term("cm", spec, bound, False)
 
 
 def density_limit(family: str) -> float:
@@ -140,7 +129,8 @@ def density_limit(family: str) -> float:
     1/zeta(2) for any other fixed j."""
     if family not in _DENSITY_ZETA:
         raise ValueError(f"family must be one of {sorted(_DENSITY_ZETA)}")
-    return float(1 / zeta_value(_DENSITY_ZETA[family]))
+    with mpmath.workdps(_DPS):
+        return float(1 / zeta_value(_DENSITY_ZETA[family]))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,7 @@ from fractions import Fraction
 import mpmath
 
 from . import asymptotics, cm, families, oracle
-from .cuspidal import count_points
-from .exactarith import is_kfree
+from .exactarith import moebius_sieve
 from .families import SingularCurveError, SpecialJError, WeierstrassCurve
 from .heights import HeightSpec, height, parse_height_spec
 
@@ -168,11 +167,12 @@ def cmd_parametrize(args) -> int:
             "instead (use `count --family rep`)"
         )
     bound = families.param_bound(j, spec, x)
+    mu = moebius_sieve(bound) if args.squarefree_only else None
     rows = []
     for m in range(-bound, bound + 1):
         if m == 0:
             continue
-        if args.squarefree_only and not is_kfree(m, 2):
+        if mu is not None and not mu[abs(m)]:
             continue
         curve = families.curve_from_parameter(j, m)
         rows.append({"m": m, "A": curve.A, "B": curve.B, "height": height(spec, curve)})
@@ -270,15 +270,10 @@ def cmd_verify(args) -> int:
     census = oracle.brute_census(
         spec, x, tracked_j=tracked, stripes=args.workers, workers=args.workers
     )
-    b = census.box
-    if b.x_bound == 0 or b.y_bound == 0:
-        singular_formula = 1  # only the origin fits such a box
-    else:
-        singular_formula = count_points(Fraction(-4, 27), b.x_bound, b.y_bound)
     checks = [
         ("curves", families.count_curves(spec, x), census.total_elliptic),
         ("representatives", families.count_representatives(spec, x), census.total_representatives),
-        ("singular-locus", singular_formula, census.singular_points),
+        ("singular-locus", families.count_singular(spec, x), census.singular_points),
     ]
     for j in tracked:
         tilde, rep = census.per_j[Fraction(j)]
@@ -299,7 +294,7 @@ def cmd_verify(args) -> int:
     if failed is not None:
         print(f"mismatch in family: {failed}", file=sys.stderr)
         return 5
-    print(f"PASS  all formulas agree with the census of {b} at bound {_fmt(x)}")
+    print(f"PASS  all formulas agree with the census of {census.box} at bound {_fmt(x)}")
     return 0
 
 

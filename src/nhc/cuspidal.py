@@ -8,16 +8,8 @@ one-parameter lattice.  Writing ord_p(a) for the exponent of p in a, set
 
 and step = prod p^step_exp(p).  Then t -> (t^2 / a, t^3 / a) is a bijection
 from step * Z onto the integral points (the origin corresponds to t = 0).
-
-Counting points in a box |x| <= T1, |y| <= T2 therefore reduces to counting
-integers m with
-
-    |m| <= min( (|a|^(1/2) / step) * T1^(1/2),
-                (|a|^(1/3) / step) * T2^(1/3) ).
-
-Both candidates have rational sixth powers, so the floor of the min is
-computed exactly: floor(min(u, v)) = min(floor(u), floor(v)) and
-floor(u) = floor_rational_root(u^6, 6).
+``families`` walks this lattice to list and count the curves of a fixed
+j-invariant.
 """
 
 from __future__ import annotations
@@ -25,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import factorize_rational, floor_rational_root
+from .exactarith import factorize_rational
 
 
 @dataclass(frozen=True)
@@ -51,51 +43,3 @@ def cubic_param(a: int | Fraction) -> CubicParam:
         step *= Fraction(p) ** se
     return CubicParam(a, step, exponents)
 
-
-def point_from_parameter(a: int | Fraction, t: int | Fraction) -> tuple[int, int]:
-    """The integral point (t^2/a, t^3/a); t must lie on the step lattice."""
-    a = Fraction(a)
-    t = Fraction(t)
-    param = cubic_param(a)
-    if (t / param.step).denominator != 1:
-        raise ValueError(f"{t} is not an integer multiple of the step {param.step}")
-    x = t * t / a
-    y = t * t * t / a
-    if x.denominator != 1 or y.denominator != 1:
-        raise ValueError(f"parameter {t} does not give an integral point")
-    return int(x), int(y)
-
-
-def point_bound(a: int | Fraction, t1: int | Fraction, t2: int | Fraction) -> int:
-    """Largest m >= 0 whose lattice point fits in |x| <= t1, |y| <= t2."""
-    a = Fraction(a)
-    t1 = Fraction(t1)
-    t2 = Fraction(t2)
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("box bounds must be positive")
-    step6 = cubic_param(a).step ** 6
-    from_x = floor_rational_root(abs(a) ** 3 * t1**3 / step6, 6)
-    from_y = floor_rational_root(abs(a) ** 2 * t2**2 / step6, 6)
-    return min(from_x, from_y)
-
-
-def count_points(a: int | Fraction, t1: int | Fraction, t2: int | Fraction) -> int:
-    """Number of integral points of y^2 = a x^3 with |x| <= t1, |y| <= t2
-    (the origin included)."""
-    return 2 * point_bound(a, t1, t2) + 1
-
-
-def enumerate_points(
-    a: int | Fraction, t1: int | Fraction, t2: int | Fraction
-) -> list[tuple[int, int, int]]:
-    """All in-box integral points as (m, x, y), ordered by m ascending."""
-    a = Fraction(a)
-    step = cubic_param(a).step
-    bound = point_bound(a, t1, t2)
-    points = []
-    for m in range(-bound, bound + 1):
-        t = step * m
-        x = t * t / a
-        y = t * t * t / a
-        points.append((m, int(x), int(y)))
-    return points

@@ -5,17 +5,18 @@ reduces to a handful of exact primitives collected here:
 
     factorize(n)              sign and prime exponents of a nonzero integer
     ord_p(q, p)               exponent of p in a nonzero rational
-    moebius(n)                Moebius function
+    moebius_sieve(N)          Moebius function on 0..N (linear sieve)
     is_kfree(n, k)            no prime p has p^k | n
     iroot(n, k)               floor(n^(1/k)) for integers, exact
     floor_rational_root(q, k) floor(q^(1/k)) for rationals, exact
     count_kfree(M, k)         number of k-free integers in [1, M], exact
-    zeta_value(s)             zeta(s) for s in {2, 4, 6, 10}, 30+ digits
+    zeta_value(s)             zeta(s) for s in {2, 4, 6, 10}
 
-All results are exact (the zeta values are correctly rounded to the working
-precision).  Counting formulas in the rest of the package are floors of
-algebraic expressions, so "close enough" roots are never acceptable: every
-root routine here certifies m^k <= x < (m+1)^k before returning m.
+All results are exact (the zeta values are good to a few units in the last
+place of the caller's working precision).  Counting formulas in the rest of
+the package are floors of algebraic expressions, so "close enough" roots are
+never acceptable: every root routine here certifies m^k <= x < (m+1)^k
+before returning m.
 
 Rational numbers are ``fractions.Fraction`` values throughout: the stdlib
 type already guarantees lowest terms and a positive denominator, which is
@@ -31,8 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-
-Rational = Fraction
 
 # Trial division handles all prime factors below this bound; Pollard rho
 # takes over for anything larger.
@@ -193,18 +192,6 @@ def ord_p(q: int | Fraction, p: int) -> int:
     return e
 
 
-def moebius(n: int) -> int:
-    """Moebius function: 0 unless n is square-free, else (-1)^(#primes)."""
-    if n < 1:
-        raise ValueError("moebius requires n >= 1")
-    if n == 1:
-        return 1
-    f = factorize(n)
-    if any(e > 1 for e in f.factors.values()):
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
 @lru_cache(maxsize=8)
 def _moebius_prefix(limit: int) -> tuple[int, ...]:
     # Linear sieve; cached per limit so repeated k-free counts are cheap.
@@ -306,8 +293,7 @@ _ZETA_CLOSED_FORMS = {2: 6, 4: 90, 6: 945, 10: 93555}
 
 def zeta_value(s: int) -> mpmath.mpf:
     """zeta(s) for s in {2, 4, 6, 10} via the closed forms pi^s / const,
-    to at least 30 significant digits."""
+    at the caller's working precision."""
     if s not in _ZETA_CLOSED_FORMS:
         raise ValueError(f"zeta_value supports s in {sorted(_ZETA_CLOSED_FORMS)}, not {s}")
-    with mpmath.workdps(40):
-        return mpmath.pi**s / _ZETA_CLOSED_FORMS[s]
+    return mpmath.pi**s / _ZETA_CLOSED_FORMS[s]

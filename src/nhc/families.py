@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cuspidal import cubic_param
-from .exactarith import factorize, floor_rational_root, count_kfree, moebius_sieve
+from .exactarith import count_kfree, factorize, floor_rational_root, iroot, moebius_sieve
 from .heights import HeightSpec, box, height
 
 
@@ -66,31 +66,19 @@ def j_invariant(curve: WeierstrassCurve | tuple[int, int]) -> Fraction:
 
 
 def _twist_scale(a: int, b: int) -> int:
-    """The largest d with d^4 | A and d^6 | B (d = 1 for representatives)."""
+    """The largest d with d^4 | A and d^6 | B (d = 1 for representatives).
+
+    Only primes of gcd(A, B) can divide d; gcd(0, n) = |n|, and a zero
+    coordinate is divisible by every power, so it puts no bound on d.
+    """
     if a == 0 and b == 0:
         raise SingularCurveError("curve (0, 0) is singular")
-    if a == 0:
-        exps = {p: e // 6 for p, e in factorize(b).factors.items()}
-    elif b == 0:
-        exps = {p: e // 4 for p, e in factorize(a).factors.items()}
-    else:
-        g = math.gcd(a, b)
-        exps = {}
-        for p in factorize(g).factors:
-            ea = 0
-            aa = abs(a)
-            while aa % p == 0:
-                aa //= p
-                ea += 1
-            eb = 0
-            bb = abs(b)
-            while bb % p == 0:
-                bb //= p
-                eb += 1
-            exps[p] = min(ea // 4, eb // 6)
     d = 1
-    for p, e in exps.items():
-        d *= p**e
+    for p in factorize(math.gcd(a, b)).factors:
+        q = p
+        while a % q**4 == 0 and b % q**6 == 0:
+            d *= p
+            q *= p
     return d
 
 
@@ -242,39 +230,50 @@ def count_representatives_with_j(
     return 2 * count_kfree(m, k)
 
 
-def count_curves(spec: HeightSpec, bound: int | Fraction) -> int:
-    """Exact number of elliptic (A, B) with height <= bound.
+def _count_core(spec: HeightSpec, bound: int | Fraction) -> tuple[int, int, int]:
+    """(xb, yb, s) at cutoff bound: the height box |A| <= xb, |B| <= yb and
+    the largest m >= 0 whose singular point (-3m^2, 2m^3) lies in it.
 
-    Lattice points of the height box minus the points of the singular
-    locus B^2 = -(4/27) A^3, whose in-box count is an exact floor (the
-    two sixth-power forms below are 1/(27 alpha) and 1/(4 beta)).
+    The singular locus 4A^3 + 27B^2 = 0 is exactly {(-3m^2, 2m^3) : m in Z}.
     """
-    x = Fraction(bound)
-    if x <= 0:
-        raise ValueError("height bound must be positive")
-    b = box(spec, x)
-    singular = min(
-        floor_rational_root(x / (27 * spec.alpha), 6),
-        floor_rational_root(x / (4 * spec.beta), 6),
-    )
-    return (2 * b.x_bound + 1) * (2 * b.y_bound + 1) - 2 * singular - 1
+    b = box(spec, bound)
+    s = min(math.isqrt(b.x_bound // 3), iroot(b.y_bound // 2, 3))
+    return b.x_bound, b.y_bound, s
+
+
+def _elliptic_in_box(xb: int, yb: int, s: int) -> int:
+    return (2 * xb + 1) * (2 * yb + 1) - 2 * s - 1
+
+
+def count_singular(spec: HeightSpec, bound: int | Fraction) -> int:
+    """Exact number of singular (A, B) with height <= bound, the origin
+    included: the 2s + 1 points (-3m^2, 2m^3) with |m| <= s."""
+    return 2 * _count_core(spec, bound)[2] + 1
+
+
+def count_curves(spec: HeightSpec, bound: int | Fraction) -> int:
+    """Exact number of elliptic (A, B) with height <= bound: the lattice
+    points of the height box minus the 2s + 1 singular ones."""
+    return _elliptic_in_box(*_count_core(spec, bound))
 
 
 def count_representatives(spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of Q-isomorphism class representatives with height
     <= bound, via Moebius inversion over the twist decomposition:
 
-        sum_{d <= bound^(1/12)} moebius(d) * count_curves(bound / d^12).
+        sum_{d >= 1} moebius(d) * count_curves(bound / d^12).
+
+    floor(floor(t) / n) = floor(t / n) for every positive integer n, so the
+    core (xb, yb, s) at bound / d^12 is (xb // d^4, yb // d^6, s // d^2):
+    the certified roots are taken once, and each d costs integer divisions.
+    Past d = max(xb^(1/4), yb^(1/6)) the box holds only the origin and the
+    terms vanish.
     """
-    x = Fraction(bound)
-    if x <= 0:
-        raise ValueError("height bound must be positive")
-    dmax = floor_rational_root(x, 12)
-    if dmax < 1:
-        return 0
+    xb, yb, s = _count_core(spec, bound)
+    dmax = max(iroot(xb, 4), iroot(yb, 6))
     mu = moebius_sieve(dmax)
     return sum(
-        mu[d] * count_curves(spec, x / Fraction(d) ** 12)
+        mu[d] * _elliptic_in_box(xb // d**4, yb // d**6, s // d**2)
         for d in range(1, dmax + 1)
         if mu[d]
     )

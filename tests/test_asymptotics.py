@@ -24,6 +24,7 @@ from nhc.asymptotics import (
     main_term_representatives_with_j,
     report,
 )
+from nhc.cm import CM_ORDERS
 from nhc.families import j_invariant_data
 from nhc.heights import CALIBRATED, UNCALIBRATED, HeightSpec
 
@@ -60,6 +61,36 @@ class TestMainTerms:
                 UNCALIBRATED, x
             )
             assert abs(ratio - mpmath.pi**10 / 93555) < 1e-35
+
+    def test_fifty_digit_precision(self):
+        # reference: the closed forms with mpmath.zeta, evaluated at 90 digits
+        def mp(q):
+            q = Fraction(q)
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        for spec in (CALIBRATED, HeightSpec(Fraction(3, 7), Fraction(11, 5))):
+            for bound in (Fraction(1, 3), 27 * 10**9, 10**30):
+                with mpmath.workdps(90):
+                    x, alpha, beta = mp(bound), mp(spec.alpha), mp(spec.beta)
+                    c_sum = mpmath.fsum(
+                        mpmath.root(mp(j_invariant_data(o.j, spec).bound6), 6)
+                        for o in CM_ORDERS
+                        if o.j not in (0, 1728)
+                    )
+                    references = (
+                        (
+                            main_term_representatives(spec, bound),
+                            4 * mpmath.cbrt(x / alpha) * mpmath.sqrt(x / beta) / mpmath.zeta(10),
+                        ),
+                        (
+                            cm_asymptotic(spec, bound),
+                            2 * mpmath.sqrt(x / beta) / mpmath.zeta(6)
+                            + 2 * mpmath.cbrt(x / alpha) / mpmath.zeta(4)
+                            + 2 * c_sum * mpmath.root(x, 6) / mpmath.zeta(2),
+                        ),
+                    )
+                    for got, want in references:
+                        assert abs(got - want) / want < mpmath.mpf(10) ** -45
 
     def test_fixed_j_branches(self):
         v = main_term_representatives_with_j(54000, CALIBRATED, 1)

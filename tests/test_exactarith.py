@@ -19,7 +19,6 @@ from nhc.exactarith import (
     iroot,
     is_kfree,
     is_prime,
-    moebius,
     moebius_sieve,
     ord_p,
     zeta_value,
@@ -102,22 +101,24 @@ class TestOrdP:
             ord_p(Fraction(5), 6)
 
 
+def mu_by_factorize(n: int) -> int:
+    exponents = factorize(n).factors.values()
+    if any(e > 1 for e in exponents):
+        return 0
+    return -1 if len(exponents) % 2 else 1
+
+
 class TestMoebius:
     def test_examples(self):
-        assert moebius(1) == 1
-        assert moebius(12) == 0
-        assert moebius(30) == -1
+        sieve = moebius_sieve(30)
+        assert (sieve[1], sieve[12], sieve[30]) == (1, 0, -1)
 
     def test_against_trial_division_table(self):
         sieve = moebius_sieve(10**4)
         for n in range(1, 10**4 + 1):
             assert sieve[n] == mu_by_trial_division(n)
         for n in range(1, 500):
-            assert moebius(n) == sieve[n]
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            moebius(0)
+            assert mu_by_factorize(n) == sieve[n]
 
 
 class TestKfree:

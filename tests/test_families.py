@@ -1,20 +1,20 @@
 """Curve family tests: invariants, parametrization, twists, exact counts.
 
 Counts are cross-checked against the brute-force census (see
-test_acceptance for the full equivalence suite) and against the cuspidal
-point counter; the parametrization is checked pointwise against the
-j-invariant definition.
+test_acceptance for the full equivalence suite), against direct scans of
+the singular locus, and against the Fraction-based representative count
+below; the parametrization is checked pointwise against the j-invariant
+definition.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nhc.cuspidal import count_points
-from nhc.exactarith import is_kfree, ord_p
+from nhc.exactarith import floor_rational_root, is_kfree, moebius_sieve, ord_p
 from nhc.families import (
     SingularCurveError,
     SpecialJError,
@@ -23,6 +23,7 @@ from nhc.families import (
     count_curves_with_j,
     count_representatives,
     count_representatives_with_j,
+    count_singular,
     cubic_coefficient,
     curve_from_parameter,
     discriminant,
@@ -34,7 +35,7 @@ from nhc.families import (
     twist,
     twist_decompose,
 )
-from nhc.heights import CALIBRATED, UNCALIBRATED, box, height
+from nhc.heights import CALIBRATED, UNCALIBRATED, HeightBox, HeightSpec, box, height
 from nhc.oracle import brute_census
 
 CM_J = (
@@ -62,6 +63,28 @@ def sample_j_values(count: int = 17, seed: int = 7) -> list[Fraction]:
         if j not in (0, 1728) and j not in out:
             out.append(j)
     return out
+
+
+def reference_count_representatives(spec, bound) -> int:
+    """Moebius inversion with a Fraction cutoff, four certified roots and a
+    full box count per twist scale d.  d runs while the height box at
+    bound / d^12 holds more than the origin, which for weights below 1 can
+    exceed bound^(1/12)."""
+
+    def curves(x):
+        b = box(spec, x)
+        singular = min(
+            floor_rational_root(x / (27 * spec.alpha), 6),
+            floor_rational_root(x / (4 * spec.beta), 6),
+        )
+        return (2 * b.x_bound + 1) * (2 * b.y_bound + 1) - 2 * singular - 1
+
+    x = Fraction(bound)
+    dmax = 0
+    while box(spec, x / (dmax + 1) ** 12) != HeightBox(0, 0):
+        dmax += 1
+    mu = moebius_sieve(dmax)
+    return sum(mu[d] * curves(x / Fraction(d) ** 12) for d in range(1, dmax + 1) if mu[d])
 
 
 class TestInvariants:
@@ -236,8 +259,35 @@ class TestGlobalCounts:
         for x in (100, 7000, 10**5):
             b = box(CALIBRATED, x)
             lattice = (2 * b.x_bound + 1) * (2 * b.y_bound + 1)
-            singular = count_points(Fraction(-4, 27), b.x_bound, b.y_bound)
+            singular = sum(
+                1
+                for a in range(-b.x_bound, b.x_bound + 1)
+                for y in range(-b.y_bound, b.y_bound + 1)
+                if 4 * a**3 + 27 * y * y == 0
+            )
+            assert count_singular(CALIBRATED, x) == singular
             assert count_curves(CALIBRATED, x) == lattice - singular
+
+    def test_weights_below_one_against_census(self):
+        # boxes wider than X^(1/12) twist scales: (16, 0) = 2 * (1, 0) has
+        # height 16^3 / 100 < 100, so d = 2 must enter the inversion
+        spec = HeightSpec(Fraction(1, 100), 1)
+        for x in (100, Fraction(1, 2), 10**4):
+            census = brute_census(spec, x)
+            assert count_curves(spec, x) == census.total_elliptic
+            assert count_representatives(spec, x) == census.total_representatives
+        assert count_representatives(spec, 100) == 898
+
+    @given(
+        st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+        st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**30, max_denominator=10**6),
+    )
+    @example(Fraction(3, 7), Fraction(11, 5), Fraction(1, 3))
+    @example(Fraction(1, 50), Fraction(1, 50), Fraction(10**24, 7))
+    def test_representatives_match_fraction_reference(self, alpha, beta, x):
+        spec = HeightSpec(alpha, beta)
+        assert count_representatives(spec, x) == reference_count_representatives(spec, x)
 
     @pytest.mark.parametrize("spec", [CALIBRATED, UNCALIBRATED])
     def test_moebius_decomposition_identity(self, spec):
@@ -280,6 +330,10 @@ class TestTwists:
         st.integers(min_value=-100, max_value=100),
         st.integers(min_value=1, max_value=4),
     )
+    @example(0, 5, 3)
+    @example(-7, 0, 4)
+    @example(0, -64, 2)
+    @example(81, 0, 1)
     def test_round_trip(self, a, b, d):
         if discriminant((a, b)) == 0:
             return
