@@ -37,7 +37,7 @@ from .cm import (
     count_cm_representatives,
     is_cm_j,
 )
-from .cuspidal import CubicParam, cubic_param
+from .cuspidal import cubic_param
 from .exactarith import (
     Factorization,
     count_kfree,
@@ -52,7 +52,6 @@ from .exactarith import (
     zeta_value,
 )
 from .families import (
-    JInvariantData,
     SingularCurveError,
     SpecialJError,
     TwistDecomposition,
@@ -67,7 +66,6 @@ from .families import (
     discriminant,
     is_representative,
     j_invariant,
-    j_invariant_data,
     minimal_curves,
     param_bound,
     twist,

@@ -4,17 +4,15 @@ The exact counts elsewhere in the package grow like power laws whose
 leading coefficients involve zeta values:
 
     representatives, all j:    4 / (alpha^(1/3) beta^(1/2) zeta(10)) X^(5/6)
-    representatives, fixed j:  2 / (beta^(1/2) zeta(6)) X^(1/2)      (j = 0)
-                               2 / (alpha^(1/3) zeta(4)) X^(1/3)     (j = 1728)
-                               2 c(j) / zeta(2) X^(1/6)              (generic j)
+    representatives, fixed j:  2 / zeta(12/r) (X / H(A_j, B_j))^(1/r)
     CM representatives:        sum of the thirteen fixed-j terms; the
                                generic c(j) add up to cm_coefficient_sum.
 
-Here c(j) is the sixth root of the exact rational min stored in
-``families.JInvariantData``; it is evaluated from that rational at high
-precision so that rounding can never flip the min.  Dropping the zeta
-factors gives the corresponding main terms for the families of all curves
-(not just representatives).
+Here (A_j, B_j) is the least curve with invariant j and r = 2, 3, 6 as
+j = 0, 1728, generic (see ``families``); for generic j the coefficient
+c(j) = H(A_j, B_j)^(-1/6) is evaluated from that exact rational at high
+precision.  Dropping the zeta factors gives the corresponding main terms
+for the families of all curves (not just representatives).
 
 Everything returns mpmath floats computed at 50 digits; ``float()`` them
 freely.
@@ -31,8 +29,8 @@ import mpmath
 
 from .cm import CM_ORDERS, count_cm_representatives
 from .exactarith import zeta_value
-from .families import j_invariant_data
-from .heights import HeightSpec
+from .families import SpecialJError, _least_curve
+from .heights import HeightSpec, height
 
 _DPS = 50
 _DENSITY_ZETA = {"all": 10, "j0": 6, "j1728": 4, "j_other": 2}
@@ -44,12 +42,13 @@ def _mpf(q: int | Fraction) -> mpmath.mpf:
 
 
 def fixed_j_coefficient(j: int | Fraction, spec: HeightSpec) -> mpmath.mpf:
-    """c(j): the generic fixed-j count is 2 * floor(c(j) * X^(1/6)).
-
-    Sixth root of the exact rational min, at 50 digits.
-    """
+    """c(j) = H(A_j, B_j)^(-1/6): the generic fixed-j count is
+    2 * floor(c(j) * X^(1/6)).  At 50 digits; j outside {0, 1728}."""
+    least, r = _least_curve(j)
+    if r != 6:
+        raise SpecialJError(f"j = {j} has no sixth-root coefficient")
     with mpmath.workdps(_DPS):
-        return mpmath.root(_mpf(j_invariant_data(j, spec).bound6), 6)
+        return mpmath.root(_mpf(1 / height(spec, least)), 6)
 
 
 def cm_coefficient_sum(spec: HeightSpec) -> mpmath.mpf:
@@ -71,22 +70,19 @@ def _main_term(
 
     family is "all", "cm" (the sum over the thirteen CM invariants) or a
     fixed j-invariant.  Representative counts carry the factor 1/zeta(s) of
-    the family's density, s from _DENSITY_ZETA.
+    the family's density: s = 10 for all curves, 12/r for fixed j.
     """
     with mpmath.workdps(_DPS):
         if family == "cm":
             return mpmath.fsum(_main_term(o.j, spec, bound, representatives) for o in CM_ORDERS)
         x = _mpf(bound)
-        x_alpha, x_beta = x / _mpf(spec.alpha), x / _mpf(spec.beta)
         if family == "all":
-            key, term = "all", 4 * mpmath.cbrt(x_alpha) * mpmath.sqrt(x_beta)
-        elif family == 0:
-            key, term = "j0", 2 * mpmath.sqrt(x_beta)
-        elif family == 1728:
-            key, term = "j1728", 2 * mpmath.cbrt(x_alpha)
+            s = _DENSITY_ZETA["all"]
+            term = 4 * mpmath.cbrt(x / _mpf(spec.alpha)) * mpmath.sqrt(x / _mpf(spec.beta))
         else:
-            key, term = "j_other", 2 * fixed_j_coefficient(family, spec) * mpmath.root(x, 6)
-        return term / zeta_value(_DENSITY_ZETA[key]) if representatives else term
+            least, r = _least_curve(family)
+            s, term = 12 // r, 2 * mpmath.root(x / _mpf(height(spec, least)), r)
+        return term / zeta_value(s) if representatives else term
 
 
 def main_term_representatives(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:

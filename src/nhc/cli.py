@@ -8,10 +8,11 @@ Subcommands:
     tables       emit the CM reference tables (table, csv, or json)
     verify       brute-force census vs. every exact formula
 
-Exit codes: 0 success, 2 malformed flags, 3 a j of 0 or 1728 was forced
-down the generic fixed-j path, 4 singular curve input, 5 verify mismatch,
-6 scan budget exceeded.  Bounds accept integers, scientific notation
-(parsed exactly: 1e25 is the integer 10^25), and rationals "p/q".
+Exit codes: 0 success, 2 malformed flags (``verify`` also exits 2 when
+NHC_ORACLE_CAP is not a non-negative integer), 3 a j of 0 or 1728 was
+forced down the generic fixed-j path, 4 singular curve input, 5 verify
+mismatch, 6 scan budget exceeded.  Bounds accept integers, scientific
+notation (parsed exactly: 1e25 is the integer 10^25), and rationals "p/q".
 j-invariants accept rationals or CM aliases "cm:<disc>[:<conductor>]".
 """
 
@@ -21,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -47,6 +49,12 @@ def _parse_height(text: str) -> HeightSpec:
         return parse_height_spec(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _parse_workers(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {text!r}")
+    return int(text)
 
 
 def _parse_j(text: str) -> Fraction:
@@ -351,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--j", type=_parse_j_list,
                    help="comma-separated j-invariants to track ('cm' = all thirteen)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel scan processes (default: all cores)")
+    p.add_argument("--workers", type=_parse_workers, default=None,
+                   help="census stripes, scanned by at most one process per core "
+                        "(default: all cores)")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -360,10 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "workers", None) is None and args.command == "verify":
-        import os
-
-        args.workers = os.cpu_count() or 1
+    if args.command == "verify":
+        try:
+            oracle.scan_budget()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.workers is None:
+            args.workers = os.cpu_count() or 1
     try:
         return args.func(args)
     except SpecialJError as exc:

@@ -91,7 +91,8 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n (Brent's cycle variant)."""
+    """A nontrivial factor of an odd composite n (Floyd's cycle finding,
+    one gcd per step)."""
     if n % 2 == 0:
         return 2
     c = 1

@@ -13,16 +13,16 @@ representative, which scales the height by d^12; Moebius inversion over
 that decomposition turns the elementary box count into an exact count of
 representatives.
 
-Fixed j-invariant: for j outside {0, 1728}, an elliptic (A, B) has
-j-invariant j exactly when B^2 = a A^3 with a = 4(1728 - j)/(27 j), i.e.
-when (A, B) is an integral point of a cuspidal cubic.  The lattice
-parametrization from ``cuspidal`` then walks the whole family:
+Fixed j-invariant: every curve with invariant j is a twist of one least
+curve (A_j, B_j), and the whole family is
 
-    A(m) = step^2 m^2 / a,   B(m) = step^3 m^3 / a,   m in Z \\ {0},
+    (m^(r/3) A_j, m^(r/2) B_j),   m in Z \\ {0},   height |m|^r H(A_j, B_j),
 
-with the representatives being exactly the square-free m.  For j = 0 the
-family is (0, m) and representatives are the 6-free m; for j = 1728 it is
-(m, 0) with 4-free m.
+with the representatives being exactly the (12/r)-free m.  For j = 0 the
+least curve is (0, 1) with r = 2; for j = 1728 it is (1, 0) with r = 3.
+Any other j has r = 6: (A, B) has invariant j exactly when B^2 = a A^3
+with a = 4(1728 - j)/(27 j), and the lattice step of that cuspidal cubic
+(``cuspidal``) gives (A_j, B_j) = (step^2 / a, step^3 / a).
 """
 
 from __future__ import annotations
@@ -125,71 +125,44 @@ def cubic_coefficient(j: int | Fraction) -> Fraction:
     return 4 * (1728 - j) / (27 * j)
 
 
-@dataclass(frozen=True)
-class JInvariantData:
-    """Per-height data of a fixed-j family (j outside {0, 1728}).
-
-    bound6_x and bound6_y are the rational sixth powers of the two
-    candidate slopes whose min caps the lattice parameter:
-    |m| <= (min(bound6_x, bound6_y) * X)^(1/6) at height cutoff X.
-    """
-
-    j: Fraction
-    a: Fraction
-    step: Fraction
-    bound6_x: Fraction
-    bound6_y: Fraction
-
-    @property
-    def bound6(self) -> Fraction:
-        return min(self.bound6_x, self.bound6_y)
-
-    @property
-    def minimal_height(self) -> Fraction:
-        # the m = +-1 curves enter the box exactly when X reaches 1/bound6
-        return 1 / self.bound6
-
-
-def j_invariant_data(j: int | Fraction, spec: HeightSpec) -> JInvariantData:
-    j = Fraction(j)
-    a = cubic_coefficient(j)
-    step = cubic_param(a).step
-    step6 = step**6
-    return JInvariantData(
-        j=j,
-        a=a,
-        step=step,
-        bound6_x=abs(a) ** 3 / (step6 * spec.alpha),
-        bound6_y=abs(a) ** 2 / (step6 * spec.beta),
-    )
-
-
 def _exact_int(q: Fraction) -> int:
     if q.denominator != 1:
         raise ArithmeticError(f"expected an integer, got {q}")
     return int(q)
 
 
-def curve_from_parameter(j: int | Fraction, m: int) -> WeierstrassCurve:
-    """The m-th curve of the fixed-j family.
-
-    Generic j: (step^2 m^2 / a, step^3 m^3 / a), both exact integers.
-    Conventions for the degenerate families: j = 0 -> (0, m) and
-    j = 1728 -> (m, 0).
-    """
-    if m == 0:
-        raise ValueError("parameter m must be nonzero")
+def _least_curve(j: int | Fraction) -> tuple[WeierstrassCurve, int]:
+    """((A_j, B_j), r): the least curve with invariant j and the exponent r
+    with curve m = (m^(r//3) A_j, m^(r//2) B_j) of height |m|^r H(A_j, B_j)."""
     j = Fraction(j)
     if j == 0:
-        return WeierstrassCurve(0, m)
+        return WeierstrassCurve(0, 1), 2
     if j == 1728:
-        return WeierstrassCurve(m, 0)
+        return WeierstrassCurve(1, 0), 3
     a = cubic_coefficient(j)
-    step = cubic_param(a).step
-    return WeierstrassCurve(
-        _exact_int(step**2 * m**2 / a),
-        _exact_int(step**3 * m**3 / a),
-    )
+    step = cubic_param(a)
+    return WeierstrassCurve(_exact_int(step**2 / a), _exact_int(step**3 / a)), 6
+
+
+def _family_member(least: WeierstrassCurve, r: int, m: int) -> WeierstrassCurve:
+    return WeierstrassCurve(m ** (r // 3) * least.A, m ** (r // 2) * least.B)
+
+
+def _max_parameter(
+    least: WeierstrassCurve, r: int, spec: HeightSpec, bound: int | Fraction
+) -> int:
+    x = Fraction(bound)
+    if x <= 0:
+        raise ValueError("height bound must be positive")
+    return floor_rational_root(x / height(spec, least), r)
+
+
+def curve_from_parameter(j: int | Fraction, m: int) -> WeierstrassCurve:
+    """The m-th curve of the fixed-j family: (m^2 A_j, m^3 B_j) for generic
+    j, (0, m) for j = 0 and (m, 0) for j = 1728."""
+    if m == 0:
+        raise ValueError("parameter m must be nonzero")
+    return _family_member(*_least_curve(j), m)
 
 
 def param_bound(j: int | Fraction, spec: HeightSpec, bound: int | Fraction) -> int:
@@ -198,19 +171,7 @@ def param_bound(j: int | Fraction, spec: HeightSpec, bound: int | Fraction) -> i
     Equivalently: m is admissible iff height(curve_from_parameter(j, m))
     is at most the cutoff.
     """
-    x = Fraction(bound)
-    if x <= 0:
-        raise ValueError("height bound must be positive")
-    j = Fraction(j)
-    if j == 0:
-        return floor_rational_root(x / spec.beta, 2)
-    if j == 1728:
-        return floor_rational_root(x / spec.alpha, 3)
-    data = j_invariant_data(j, spec)
-    return min(
-        floor_rational_root(data.bound6_x * x, 6),
-        floor_rational_root(data.bound6_y * x, 6),
-    )
+    return _max_parameter(*_least_curve(j), spec, bound)
 
 
 def count_curves_with_j(j: int | Fraction, spec: HeightSpec, bound: int | Fraction) -> int:
@@ -222,12 +183,10 @@ def count_representatives_with_j(
     j: int | Fraction, spec: HeightSpec, bound: int | Fraction
 ) -> int:
     """Exact number of Q-isomorphism class representatives with invariant j
-    and height <= bound (k-free parameter count; k = 6, 4, 2 as j = 0,
-    1728, generic)."""
-    m = param_bound(j, spec, bound)
-    j = Fraction(j)
-    k = 6 if j == 0 else 4 if j == 1728 else 2
-    return 2 * count_kfree(m, k)
+    and height <= bound: twice the number of (12/r)-free m <= param_bound
+    (6-free, 4-free, square-free as j = 0, 1728, generic)."""
+    least, r = _least_curve(j)
+    return 2 * count_kfree(_max_parameter(least, r, spec, bound), 12 // r)
 
 
 def _count_core(spec: HeightSpec, bound: int | Fraction) -> tuple[int, int, int]:
@@ -287,6 +246,5 @@ def minimal_curves(
     These are the parameter values m = +1 and m = -1 (in that order); the
     pair differs only in the sign of B (of A when j = 1728).
     """
-    plus = curve_from_parameter(j, 1)
-    minus = curve_from_parameter(j, -1)
-    return (plus, minus), height(spec, plus)
+    least, r = _least_curve(j)
+    return (least, _family_member(least, r, -1)), height(spec, least)

@@ -36,9 +36,12 @@ class ScanBudgetError(RuntimeError):
 
 def scan_budget() -> int:
     """Maximum lattice points per census; defaults to the calibrated
-    cutoff-1e10 box, NHC_ORACLE_CAP (an integer point count) overrides."""
+    cutoff-1e10 box, NHC_ORACLE_CAP (a non-negative integer point count)
+    overrides.  Any other NHC_ORACLE_CAP raises ValueError."""
     env = os.environ.get("NHC_ORACLE_CAP")
     if env is not None:
+        if not env.strip().isdecimal():
+            raise ValueError(f"NHC_ORACLE_CAP must be a non-negative integer, got {env!r}")
         return int(env)
     b = box(CALIBRATED, 10**10)
     return (2 * b.x_bound + 1) * (2 * b.y_bound + 1)
@@ -66,9 +69,9 @@ def _kfree_small(n: int, powers: list[int]) -> bool:
 def _scan_stripe(args: tuple) -> dict:
     """Scan A in [a_lo, a_hi] x B in [-by, by]; returns partial tallies.
 
-    ``tracked`` holds (j_num, j_den, a_num, a_den) per requested generic j
-    (a_num/a_den is the cuspidal coefficient), or (0, 1, 0, 0) for j = 0
-    and (1728, 1, 0, 0) for j = 1728.
+    ``tracked`` holds (key, a_num, a_den) per requested j, key being
+    (j_num, j_den); a_num/a_den is the cuspidal coefficient of a generic j
+    and (0, 1) for j = 0 and j = 1728, whose keys pick their own branch.
     """
     a_lo, a_hi, by, tracked, collect = args
     p4 = _prime_powers_upto(4, max(abs(a_lo), abs(a_hi), 1))
@@ -124,8 +127,8 @@ def _scan_stripe(args: tuple) -> dict:
         reps += rep_col
 
         # per-j classification for this column
-        for key, jn, jd, an, ad in tracked:
-            if jn == 0 and jd == 1 and an == 0:  # j = 0: the A = 0 column
+        for key, an, ad in tracked:
+            if key == (0, 1):  # j = 0: the A = 0 column
                 if A != 0:
                     continue
                 for B in range(-by, by + 1):
@@ -137,7 +140,7 @@ def _scan_stripe(args: tuple) -> dict:
                     if collect:
                         jcurves[key].append((0, B))
                 continue
-            if jn == 1728 and jd == 1 and an == 0:  # j = 1728: the B = 0 row
+            if key == (1728, 1):  # j = 1728: the B = 0 row
                 if A == 0:
                     continue
                 jt[key][0] += 1
@@ -158,7 +161,7 @@ def _scan_stripe(args: tuple) -> dict:
             for B in (root, -root):
                 s = four_a3 + 27 * B * B
                 # confirm against the exact j-invariant definition
-                if s == 0 or Fraction(6912 * a3, s) != Fraction(jn, jd):
+                if s == 0 or Fraction(6912 * a3, s) != Fraction(*key):
                     continue
                 jt[key][0] += 1
                 if all(B % u for u in spoilers):
@@ -179,12 +182,8 @@ def _tracked_tuples(tracked_j) -> list[tuple]:
     out = []
     for j in tracked_j:
         j = Fraction(j)
-        key = (j.numerator, j.denominator)
-        if j == 0 or j == 1728:
-            out.append((key, j.numerator, 1, 0, 0))
-        else:
-            a = 4 * (1728 - j) / (27 * j)
-            out.append((key, j.numerator, j.denominator, a.numerator, a.denominator))
+        a = Fraction(0) if j in (0, 1728) else 4 * (1728 - j) / (27 * j)
+        out.append(((j.numerator, j.denominator), a.numerator, a.denominator))
     return out
 
 
@@ -201,7 +200,9 @@ def brute_census(
 
     Counts singular points, elliptic curves, and representatives, plus
     (curves, representatives) per tracked j-invariant; with
-    ``collect_curves`` the per-j curve lists are kept as well.
+    ``collect_curves`` the per-j curve lists are kept as well.  The box is
+    cut into ``stripes`` A-ranges, scanned by a pool of at most
+    min(workers, os.cpu_count()) processes when workers > 1.
     """
     b = box(spec, bound)
     npoints = (2 * b.x_bound + 1) * (2 * b.y_bound + 1)
@@ -222,7 +223,7 @@ def brute_census(
     ]
 
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_scan_stripe, jobs))
     else:
         parts = [_scan_stripe(job) for job in jobs]

@@ -31,7 +31,7 @@ from nhc.families import (
     cubic_coefficient,
     curve_from_parameter,
     is_representative,
-    j_invariant_data,
+    minimal_curves,
     param_bound,
 )
 from nhc.heights import CALIBRATED, UNCALIBRATED
@@ -187,7 +187,7 @@ def test_criterion_6_coefficient_table():
         for r in rows
     )
     # closed form at j = 54000: c^6 = 1/(4 * 3375), exactly
-    exact_min = j_invariant_data(54000, CALIBRATED).bound6
+    exact_min = 1 / minimal_curves(54000, CALIBRATED)[1]
     closed_ok = exact_min == Fraction(1, 4 * 3375)
     ok = len(rows) == 11 and worst < 5e-10 and closed_ok
     _line("6", ok, f"11 coefficients within {worst:.2e}; c(54000)^6 = {exact_min}")

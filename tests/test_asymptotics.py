@@ -25,7 +25,7 @@ from nhc.asymptotics import (
     report,
 )
 from nhc.cm import CM_ORDERS
-from nhc.families import j_invariant_data
+from nhc.families import minimal_curves
 from nhc.heights import CALIBRATED, UNCALIBRATED, HeightSpec
 
 # 10-digit reference coefficients 2 c(j) / zeta(2), by (disc, conductor)
@@ -73,7 +73,7 @@ class TestMainTerms:
                 with mpmath.workdps(90):
                     x, alpha, beta = mp(bound), mp(spec.alpha), mp(spec.beta)
                     c_sum = mpmath.fsum(
-                        mpmath.root(mp(j_invariant_data(o.j, spec).bound6), 6)
+                        mpmath.root(mp(1 / minimal_curves(o.j, spec)[1]), 6)
                         for o in CM_ORDERS
                         if o.j not in (0, 1728)
                     )
@@ -117,15 +117,15 @@ class TestConstants:
             assert mpmath.nstr(r.coefficient, 10) == printed
 
     def test_exact_scaling_law(self):
-        # c(j; (t^6 a, t^6 b)) * t = c(j; (a, b)), exactly in the stored
-        # sixth-power rationals
+        # c(j; (t^6 a, t^6 b)) * t = c(j; (a, b)), exactly in the minimal
+        # height c(j)^-6: the least curves stay, their height scales by t^6
         for t in (2, 3):
             scaled = HeightSpec(Fraction(4) * t**6, Fraction(27) * t**6)
             for j in (-3375, 54000, -262537412640768000, Fraction(11, 5)):
-                base = j_invariant_data(j, CALIBRATED)
-                data = j_invariant_data(j, scaled)
-                assert data.bound6_x * t**6 == base.bound6_x
-                assert data.bound6_y * t**6 == base.bound6_y
+                base_curves, base_h = minimal_curves(j, CALIBRATED)
+                curves, h = minimal_curves(j, scaled)
+                assert curves == base_curves
+                assert h == base_h * t**6
 
     def test_coefficient_uses_exact_min(self):
         c = fixed_j_coefficient(54000, CALIBRATED)

@@ -223,6 +223,22 @@ class TestVerify:
         assert code == 6
         assert "lattice points" in err
 
+    @pytest.mark.parametrize("value", ["abc", "-5", "1e9"])
+    def test_bad_oracle_cap_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("NHC_ORACLE_CAP", value)
+        code, out, err = run(capsys, "verify", "--bound", "100", "--workers", "1")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "NHC_ORACLE_CAP" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_workers_below_one_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--bound", "100", "--workers", value])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_mismatch_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr(families, "count_curves", lambda spec, x: 10**9)
         code, out, err = run(capsys, "verify", "--height", "cal", "--bound", "100",

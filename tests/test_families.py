@@ -2,18 +2,20 @@
 
 Counts are cross-checked against the brute-force census (see
 test_acceptance for the full equivalence suite), against direct scans of
-the singular locus, and against the Fraction-based representative count
-below; the parametrization is checked pointwise against the j-invariant
-definition.
+the singular locus, and against the Fraction-based references below; the
+parametrization is checked pointwise against the j-invariant definition.
 """
 
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nhc.asymptotics import fixed_j_coefficient
+from nhc.cuspidal import cubic_param
 from nhc.exactarith import floor_rational_root, is_kfree, moebius_sieve, ord_p
 from nhc.families import (
     SingularCurveError,
@@ -29,7 +31,6 @@ from nhc.families import (
     discriminant,
     is_representative,
     j_invariant,
-    j_invariant_data,
     minimal_curves,
     param_bound,
     twist,
@@ -87,6 +88,37 @@ def reference_count_representatives(spec, bound) -> int:
     return sum(mu[d] * curves(x / Fraction(d) ** 12) for d in range(1, dmax + 1) if mu[d])
 
 
+class ReferenceJData:
+    """Per-height data of a generic fixed-j family in the sixth-power form:
+    the lattice parameter is capped by |m| <= (min(bound6_x, bound6_y) X)^(1/6)
+    and the m-th curve is (step^2 m^2 / a, step^3 m^3 / a)."""
+
+    def __init__(self, j, spec):
+        j = Fraction(j)
+        self.a = cubic_coefficient(j)
+        self.step = cubic_param(self.a)
+        step6 = self.step**6
+        self.bound6_x = abs(self.a) ** 3 / (step6 * spec.alpha)
+        self.bound6_y = abs(self.a) ** 2 / (step6 * spec.beta)
+        self.bound6 = min(self.bound6_x, self.bound6_y)
+
+    def param_bound(self, bound):
+        x = Fraction(bound)
+        return min(
+            floor_rational_root(self.bound6_x * x, 6),
+            floor_rational_root(self.bound6_y * x, 6),
+        )
+
+    def curve(self, m):
+        A, B = self.step**2 * m**2 / self.a, self.step**3 * m**3 / self.a
+        assert A.denominator == B.denominator == 1
+        return WeierstrassCurve(int(A), int(B))
+
+    def coefficient(self):
+        with mpmath.workdps(50):
+            return mpmath.root(mpmath.mpf(self.bound6.numerator) / self.bound6.denominator, 6)
+
+
 class TestInvariants:
     def test_discriminant(self):
         assert discriminant((0, 1)) == -432
@@ -127,12 +159,14 @@ class TestCubicCoefficient:
             assert cubic_coefficient(j) not in (0, Fraction(-4, 27))
 
     def test_sixth_power_data(self):
-        data = j_invariant_data(54000, CALIBRATED)
-        assert data.step == Fraction(22, 15)
-        assert data.bound6_x == Fraction(1, 13500)
-        assert data.bound6_y == Fraction(1, 13068)
-        assert data.bound6 == Fraction(1, 13500)
-        assert data.minimal_height == 13500
+        # a(54000) = -484/3375 has step 22/15; the least curve is
+        # (step^2 / a, step^3 / a) with alpha |A|^3 = 13500, beta B^2 = 13068
+        assert cubic_param(cubic_coefficient(54000)) == Fraction(22, 15)
+        (least, other), h = minimal_curves(54000, CALIBRATED)
+        assert least == (-15, -22) and other == (-15, 22)
+        assert 4 * abs(least.A) ** 3 == 13500
+        assert 27 * least.B**2 == 13068
+        assert h == 13500
 
 
 class TestParametrization:
@@ -202,6 +236,34 @@ class TestParametrization:
         assert param_bound(0, CALIBRATED, 27) == 1
         assert param_bound(-3375, CALIBRATED, 259307) == 0
         assert param_bound(-3375, CALIBRATED, 259308) == 1
+
+    def test_height_scaling_law(self):
+        # curve m is the twist of the least curve with height |m|^r H_min
+        for j, r in ((0, 2), (1728, 3), (-3375, 6), (Fraction(11, 3), 6)):
+            for spec in (CALIBRATED, UNCALIBRATED, HeightSpec(Fraction(3, 7), Fraction(11, 5))):
+                _, h_min = minimal_curves(j, spec)
+                for m in (1, -1, 2, -3, 10, -97):
+                    assert height(spec, curve_from_parameter(j, m)) == abs(m) ** r * h_min
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4).filter(
+            lambda j: j not in (0, 1728)
+        ),
+        st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+        st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**40, max_denominator=10**6),
+        st.integers(min_value=-(10**6), max_value=10**6).filter(bool),
+    )
+    @example(Fraction(-3375), Fraction(4), Fraction(27), Fraction(259308), 1)
+    @example(Fraction(17, 5), Fraction(1, 50), Fraction(50), Fraction(10**40), -7)
+    def test_generic_j_match_sixth_power_reference(self, j, alpha, beta, x, m):
+        spec = HeightSpec(alpha, beta)
+        ref = ReferenceJData(j, spec)
+        assert param_bound(j, spec, x) == ref.param_bound(x)
+        assert curve_from_parameter(j, m) == ref.curve(m)
+        assert minimal_curves(j, spec)[1] == 1 / ref.bound6
+        assert fixed_j_coefficient(j, spec) == ref.coefficient()
 
     def test_param_bound_iff_height(self):
         for j in (Fraction(-3375), Fraction(0), Fraction(1728), Fraction(11, 3)):
@@ -361,6 +423,5 @@ class TestMinimalCurves:
 
     def test_minimal_height_is_sixth_power_reciprocal(self):
         for j in (Fraction(-3375), Fraction(54000), Fraction(17, 5)):
-            data = j_invariant_data(j, CALIBRATED)
             _, h = minimal_curves(j, CALIBRATED)
-            assert h == data.minimal_height
+            assert h == 1 / ReferenceJData(j, CALIBRATED).bound6

@@ -1,9 +1,12 @@
 """Census self-tests: fixed small boxes, partition determinism, budget."""
 
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
 
+from nhc import oracle
 from nhc.heights import CALIBRATED, UNCALIBRATED
 from nhc.oracle import ScanBudgetError, brute_census, brute_minimal, scan_budget
 
@@ -49,6 +52,42 @@ class TestCensus:
         )
         assert parallel == serial
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # the stripe count stays as requested; only the pool size is capped
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                pools.append(len(jobs))
+                return map(fn, jobs)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+        serial = brute_census(UNCALIBRATED, 10**3, tracked_j=[0, 1728, -3375])
+        pooled = brute_census(
+            UNCALIBRATED, 10**3, tracked_j=[0, 1728, -3375], stripes=8, workers=64
+        )
+        assert pools == [3, 8]
+        assert pooled == serial
+
+    def test_census_imports_no_formula_code(self):
+        imported = {
+            node.module
+            for node in ast.walk(ast.parse(inspect.getsource(oracle)))
+            if isinstance(node, ast.ImportFrom) and node.level
+        }
+        assert imported == {"exactarith", "heights"}
+
 
 class TestBudget:
     def test_refusal_with_estimate(self):
@@ -62,6 +101,12 @@ class TestBudget:
             brute_census(CALIBRATED, 7000)
         monkeypatch.setenv("NHC_ORACLE_CAP", "10000")
         assert brute_census(CALIBRATED, 7000).total_elliptic == 820
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
+    def test_bad_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("NHC_ORACLE_CAP", value)
+        with pytest.raises(ValueError, match="NHC_ORACLE_CAP"):
+            scan_budget()
 
     def test_default_budget_allows_large_boxes(self):
         assert scan_budget() > 10**8
