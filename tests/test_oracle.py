@@ -1,13 +1,15 @@
 """Census self-tests: fixed small boxes, partition determinism, budget."""
 
 import ast
+import functools
 import inspect
+import random
 from fractions import Fraction
 
 import pytest
 
 from nhc import oracle
-from nhc.heights import CALIBRATED, UNCALIBRATED
+from nhc.heights import CALIBRATED, UNCALIBRATED, HeightSpec, box, height
 from nhc.oracle import ScanBudgetError, brute_census, brute_minimal, scan_budget
 
 
@@ -87,6 +89,90 @@ class TestCensus:
             if isinstance(node, ast.ImportFrom) and node.level
         }
         assert imported == {"exactarith", "heights"}
+
+
+def _is_twist(a: int, b: int) -> bool:
+    """Some d >= 2 has d^4 | A and d^6 | B; a nonzero coordinate bounds d."""
+    d = 2
+    while (a == 0 or d**4 <= abs(a)) and (b == 0 or d**6 <= abs(b)):
+        if a % d**4 == 0 and b % d**6 == 0:
+            return True
+        d += 1
+    return False
+
+
+@functools.cache
+def _reference_census(spec: HeightSpec, bound: int, tracked: tuple[Fraction, ...]) -> dict:
+    """A plain double loop over the region height <= bound, classifying each
+    point from the definitions only."""
+    b = box(spec, bound)
+    singular = elliptic = reps = 0
+    per_j = {j: [0, 0] for j in tracked}
+    curves = {j: [] for j in tracked}
+    for a in range(-b.x_bound - 1, b.x_bound + 2):
+        for bb in range(-b.y_bound - 1, b.y_bound + 2):
+            if height(spec, (a, bb)) > bound:
+                continue
+            s = 4 * a**3 + 27 * bb**2
+            if s == 0:
+                singular += 1
+                continue
+            elliptic += 1
+            rep = not _is_twist(a, bb)
+            reps += rep
+            j = Fraction(6912 * a**3, s)
+            if j in per_j:
+                per_j[j][0] += 1
+                per_j[j][1] += rep
+                curves[j].append((a, bb))
+    return {
+        "singular_points": singular,
+        "total_elliptic": elliptic,
+        "total_representatives": reps,
+        "per_j": {j: tuple(v) for j, v in per_j.items()},
+        "curves_by_j": curves,
+    }
+
+
+def _random_j(spec: HeightSpec, bound: int, seed: int, n: int) -> list[Fraction]:
+    rng = random.Random(seed)
+    b = box(spec, bound)
+    out = []
+    while len(out) < n:
+        a = rng.randint(-b.x_bound, b.x_bound)
+        bb = rng.randint(-b.y_bound, b.y_bound)
+        s = 4 * a**3 + 27 * bb**2
+        if s:
+            out.append(Fraction(6912 * a**3, s))
+    return out
+
+
+class TestCensusAgainstDefinitions:
+    """``brute_census`` against a double loop that uses only the definitions:
+    singular iff 4A^3 + 27B^2 = 0, a twist iff some d >= 2 has d^4 | A and
+    d^6 | B, and j = 6912 A^3 / (4A^3 + 27B^2)."""
+
+    CASES = [
+        (CALIBRATED, 3 * 10**5),
+        (UNCALIBRATED, 5 * 10**4),
+        (HeightSpec(Fraction(1, 100), Fraction(1)), 10**4),
+        (HeightSpec(Fraction(3, 2), Fraction(5, 7)), 7 * 10**4),
+    ]
+
+    @pytest.mark.parametrize("stripes", [1, 3])
+    @pytest.mark.parametrize("spec, bound", CASES, ids=["cal", "ncal", "1/100,1", "3/2,5/7"])
+    def test_matches_reference_loop(self, spec, bound, stripes):
+        tracked = (Fraction(0), Fraction(1728), Fraction(-3375), Fraction(20, 3),
+                   *_random_j(spec, bound, seed=bound, n=4))
+        tracked = tuple(dict.fromkeys(tracked))
+        want = _reference_census(spec, bound, tracked)
+        got = brute_census(spec, bound, tracked_j=tracked, collect_curves=True, stripes=stripes)
+        assert got.singular_points == want["singular_points"]
+        assert got.total_elliptic == want["total_elliptic"]
+        assert got.total_representatives == want["total_representatives"]
+        assert got.per_j == want["per_j"]
+        assert got.curves_by_j == want["curves_by_j"]
+        assert want["per_j"][Fraction(-3375)][0] and all(want["per_j"][j][0] for j in tracked[4:])
 
 
 class TestBudget:
