@@ -5,7 +5,8 @@ reduces to a handful of exact primitives collected here:
 
     factorize(n)              sign and prime exponents of a nonzero integer
     ord_p(q, p)               exponent of p in a nonzero rational
-    moebius_sieve(N)          Moebius function on 0..N (linear sieve)
+    moebius_sieve(N)          Moebius function on 0..N (linear sieve, at most
+                              10^7 entries; larger raises ScanBudgetError)
     is_kfree(n, k)            no prime p has p^k | n
     iroot(n, k)               floor(n^(1/k)) for integers, exact
     floor_rational_root(q, k) floor(q^(1/k)) for rationals, exact
@@ -193,9 +194,22 @@ def ord_p(q: int | Fraction, p: int) -> int:
     return e
 
 
+class ScanBudgetError(RuntimeError):
+    """Requested scan or sieve exceeds its budget."""
+
+
+# The largest Moebius sieve built, in entries: about 80 MB as a list, enough
+# for representative counts up to a calibrated cutoff of about 1e84.
+_SIEVE_BUDGET = 10**7
+
+
 @lru_cache(maxsize=8)
 def _moebius_prefix(limit: int) -> tuple[int, ...]:
     # Linear sieve; cached per limit so repeated k-free counts are cheap.
+    if limit > _SIEVE_BUDGET:
+        raise ScanBudgetError(
+            f"Moebius sieve up to {limit} exceeds the budget of {_SIEVE_BUDGET} entries"
+        )
     mu = [1] * (limit + 1)
     composite = bytearray(limit + 1)
     primes: list[int] = []

@@ -27,6 +27,7 @@ with a = 4(1728 - j)/(27 j), and the lattice step of that cuspidal cubic
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,9 +132,11 @@ def _exact_int(q: Fraction) -> int:
     return int(q)
 
 
+@functools.cache
 def _least_curve(j: int | Fraction) -> tuple[WeierstrassCurve, int]:
     """((A_j, B_j), r): the least curve with invariant j and the exponent r
-    with curve m = (m^(r//3) A_j, m^(r//2) B_j) of height |m|^r H(A_j, B_j)."""
+    with curve m = (m^(r//3) A_j, m^(r//2) B_j) of height |m|^r H(A_j, B_j).
+    Cached, so a(j) is factored once per j."""
     j = Fraction(j)
     if j == 0:
         return WeierstrassCurve(0, 1), 2

@@ -1,16 +1,19 @@
 """Brute-force lattice census: the ground truth for every exact formula.
 
 ``brute_census`` walks every integer pair (A, B) in the height box and
-classifies each point from first principles only: the discriminant sign
-decides singular vs elliptic, direct divisibility testing decides
-representative vs twist, and j-membership is decided by the definition
-j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied to an integer identity.
-None of the counting formulas being verified enter the scan.
+classifies each point from the definitions only.  (A, B) is singular iff
+4A^3 + 27B^2 = 0.  It is a twist iff some prime p has p^4 | A and p^6 | B:
+the column's spoilers are the p^6 with p^4 | A, and a point is a
+representative iff no spoiler divides B.  It has invariant
+j = j_num / j_den iff
 
-Per-j tallies use a cheap per-column prefilter (for fixed A, a curve with
-the requested j must satisfy B^2 = a A^3, so candidate B values come from
-one integer square root); every candidate is then confirmed against the
-exact j-invariant before it is counted.
+    27 j_num B^2 = (6912 j_den - 4 j_num) A^3,
+
+the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied.  For j = 0
+that is the A = 0 column; for any other j a column holds at most the two
+B = +-sqrt(...), found by one integer square root.  Every candidate is
+confirmed against the definition before it is counted.  None of the
+counting formulas being verified enter the scan.
 
 The scan is embarrassingly parallel over stripes of the A-range, and the
 merge is plain integer addition, so the result is identical for any stripe
@@ -26,12 +29,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import _small_primes
+from .exactarith import ScanBudgetError, _small_primes
 from .heights import CALIBRATED, HeightBox, HeightSpec, box, height
-
-
-class ScanBudgetError(RuntimeError):
-    """Requested scan exceeds the lattice-point budget."""
 
 
 def scan_budget() -> int:
@@ -57,115 +56,71 @@ class CensusResult:
     curves_by_j: dict[Fraction, list[tuple[int, int]]] | None = None
 
 
-def _prime_powers_upto(k: int, limit: int) -> list[int]:
-    return [p**k for p in _small_primes() if p**k <= limit]
-
-
-def _kfree_small(n: int, powers: list[int]) -> bool:
-    n = abs(n)
-    return all(n % q for q in powers if q <= n)
+def _spoilers(a: int, by: int) -> list[int]:
+    """The p^6 for each prime p with p^4 | A: (A, B) is a twist iff one of
+    them divides B.  Every p^4 divides A = 0, and there only the p^6 <= by
+    can divide a nonzero B of the stripe."""
+    out = []
+    for p in _small_primes():
+        if (p**4 > abs(a)) if a else (p**6 > by):
+            break
+        if a % p**4 == 0:
+            out.append(p**6)
+    return out
 
 
 def _scan_stripe(args: tuple) -> dict:
     """Scan A in [a_lo, a_hi] x B in [-by, by]; returns partial tallies.
 
-    ``tracked`` holds (key, a_num, a_den) per requested j, key being
-    (j_num, j_den); a_num/a_den is the cuspidal coefficient of a generic j
-    and (0, 1) for j = 0 and j = 1728, whose keys pick their own branch.
+    ``tracked`` holds the (j_num, j_den) pair of each requested j.
     """
     a_lo, a_hi, by, tracked, collect = args
-    p4 = _prime_powers_upto(4, max(abs(a_lo), abs(a_hi), 1))
-    p6 = _prime_powers_upto(6, max(by, 1))
-    singular = 0
-    elliptic = 0
-    reps = 0
-    jt = {key: [0, 0] for key, *_ in tracked}
-    jcurves: dict[tuple[int, int], list[tuple[int, int]]] = (
-        {key: [] for key, *_ in tracked} if collect else {}
-    )
+    singular = elliptic = reps = 0
+    jt = {key: [0, 0] for key in tracked}
+    jcurves: dict[tuple[int, int], list[tuple[int, int]]] = {key: [] for key in tracked}
     b27 = [27 * b * b for b in range(-by, by + 1)]
 
     for A in range(a_lo, a_hi + 1):
         a3 = A * A * A
         four_a3 = 4 * a3
-        # primes whose 4th power divides A; only their 6th powers can make
-        # a point of this column a proper twist
-        spoilers: list[int] = []
-        if A != 0:
-            for p in _small_primes():
-                q4 = p**4
-                if q4 > abs(A):
-                    break
-                if A % q4 == 0:
-                    spoilers.append(p**6)
+        spoilers = _spoilers(A, by)
 
-        sing_col = 0
-        for w in b27:
-            if four_a3 + w == 0:
-                sing_col += 1
+        def is_rep(B: int) -> bool:  # the twist definition, for this column
+            return all(B % q for q in spoilers)
+
+        sing_col = b27.count(-four_a3)
         ell_col = len(b27) - sing_col
-
-        if A != 0 and not spoilers:
-            # no prime 4th power divides A: every elliptic point is a rep
-            rep_col = ell_col
-        else:
-            rep_col = 0
-            for i, w in enumerate(b27):
-                if four_a3 + w == 0:
-                    continue
-                B = i - by
-                if A == 0:
-                    ok = _kfree_small(B, p6)
-                elif B == 0:
-                    ok = _kfree_small(A, p4)
-                else:
-                    ok = all(B % q for q in spoilers)
-                rep_col += 1 if ok else 0
-
+        # with no spoiler every elliptic point of the column is a rep
+        rep_col = ell_col
+        if spoilers:
+            rep_col = sum(
+                1 for B, w in zip(range(-by, by + 1), b27) if four_a3 + w and is_rep(B)
+            )
         singular += sing_col
         elliptic += ell_col
         reps += rep_col
 
-        # per-j classification for this column
-        for key, an, ad in tracked:
-            if key == (0, 1):  # j = 0: the A = 0 column
-                if A != 0:
+        # per-j candidates solve 27 j_num B^2 = (6912 j_den - 4 j_num) A^3:
+        # for j = 0 that is the A = 0 column, otherwise one square root
+        for key in tracked:
+            j_num, j_den = key
+            if j_num == 0:
+                candidates = range(-by, by + 1) if A == 0 else ()
+            else:
+                b2, r = divmod((6912 * j_den - 4 * j_num) * a3, 27 * j_num)
+                if r or b2 < 0:
                     continue
-                for B in range(-by, by + 1):
-                    if B == 0:
-                        continue
-                    jt[key][0] += 1
-                    if _kfree_small(B, p6):
-                        jt[key][1] += 1
-                    if collect:
-                        jcurves[key].append((0, B))
-                continue
-            if key == (1728, 1):  # j = 1728: the B = 0 row
-                if A == 0:
+                root = math.isqrt(b2)
+                if root * root != b2 or root > by:
                     continue
-                jt[key][0] += 1
-                if _kfree_small(A, p4):
-                    jt[key][1] += 1
-                if collect:
-                    jcurves[key].append((A, 0))
-                continue
-            # generic j: candidates solve ad * B^2 = an * A^3 (so A != 0
-            # and B != 0 at any candidate)
-            t = an * a3
-            if t <= 0 or t % ad:
-                continue
-            q = t // ad
-            root = math.isqrt(q)
-            if root * root != q or root > by or root == 0:
-                continue
-            for B in (root, -root):
+                candidates = {root, -root}
+            for B in candidates:
                 s = four_a3 + 27 * B * B
-                # confirm against the exact j-invariant definition
-                if s == 0 or Fraction(6912 * a3, s) != Fraction(*key):
+                # confirm against j = 6912 A^3 / s, cross-multiplied
+                if s == 0 or j_num * s != 6912 * j_den * a3:
                     continue
                 jt[key][0] += 1
-                if all(B % u for u in spoilers):
-                    jt[key][1] += 1
+                jt[key][1] += is_rep(B)
                 if collect:
                     jcurves[key].append((A, B))
 
@@ -174,17 +129,8 @@ def _scan_stripe(args: tuple) -> dict:
         "elliptic": elliptic,
         "reps": reps,
         "per_j": {k: tuple(v) for k, v in jt.items()},
-        "curves": {k: v for k, v in jcurves.items()} if collect else None,
+        "curves": jcurves if collect else None,
     }
-
-
-def _tracked_tuples(tracked_j) -> list[tuple]:
-    out = []
-    for j in tracked_j:
-        j = Fraction(j)
-        a = Fraction(0) if j in (0, 1728) else 4 * (1728 - j) / (27 * j)
-        out.append(((j.numerator, j.denominator), a.numerator, a.denominator))
-    return out
 
 
 def brute_census(
@@ -212,7 +158,8 @@ def brute_census(
             f"scan of {npoints} lattice points exceeds the budget of {budget}; "
             "raise NHC_ORACLE_CAP to override"
         )
-    tracked = _tracked_tuples(tracked_j)
+    # (j_num, j_den) per distinct j: a repeated j is tallied once
+    tracked = list(dict.fromkeys((j.numerator, j.denominator) for j in map(Fraction, tracked_j)))
     stripes = max(1, stripes)
     width = 2 * b.x_bound + 1
     stripes = min(stripes, width)
@@ -230,27 +177,20 @@ def brute_census(
 
     per_j: dict[Fraction, tuple[int, int]] = {}
     curves: dict[Fraction, list[tuple[int, int]]] | None = {} if collect_curves else None
-    singular = elliptic = reps = 0
-    for key, *_ in tracked:
+    for key in tracked:
         j = Fraction(*key)
-        tilde = sum(p["per_j"][key][0] for p in parts)
-        rep = sum(p["per_j"][key][1] for p in parts)
-        per_j[j] = (tilde, rep)
+        per_j[j] = (
+            sum(p["per_j"][key][0] for p in parts),
+            sum(p["per_j"][key][1] for p in parts),
+        )
         if collect_curves:
-            merged: list[tuple[int, int]] = []
-            for p in parts:
-                merged.extend(p["curves"][key])
-            curves[j] = sorted(merged)
-    for p in parts:
-        singular += p["singular"]
-        elliptic += p["elliptic"]
-        reps += p["reps"]
+            curves[j] = sorted(c for p in parts for c in p["curves"][key])
 
     return CensusResult(
         box=b,
-        total_elliptic=elliptic,
-        total_representatives=reps,
-        singular_points=singular,
+        total_elliptic=sum(p["elliptic"] for p in parts),
+        total_representatives=sum(p["reps"] for p in parts),
+        singular_points=sum(p["singular"] for p in parts),
         per_j=per_j,
         curves_by_j=curves,
     )

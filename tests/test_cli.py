@@ -2,6 +2,7 @@
 documented exit codes and formats."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,21 @@ class TestCount:
             "--bound", "7000",
         )
         assert (code, out.strip()) == (0, "820")
+
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--family", "rep", "--bound", "1e200"),
+        ("count", "--family", "cm-rep", "--bound", "1e200"),
+        ("parametrize", "--j", "54000", "--bound", "1e200", "--squarefree-only"),
+    ], ids=["rep", "cm-rep", "parametrize"])
+    def test_oversized_sieve_refused(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 6
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("refused: Moebius sieve")
 
 
 class TestParametrize:
@@ -209,6 +225,12 @@ class TestVerify:
                            "--j", "0,1728,-3375", "--workers", "1")
         assert code == 0
         assert "PASS  all formulas agree" in out
+        assert "FAIL" not in out
+
+    def test_repeated_j_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--height", "cal", "--bound", "1e4",
+                           "--j", "0,0,1728", "--workers", "1")
+        assert code == 0
         assert "FAIL" not in out
 
     def test_cm_keyword_tracks_thirteen(self, capsys):

@@ -56,6 +56,8 @@ def matrix() -> list[list[str]]:
         for bound in ("1", "100", "1e5"):
             for js in ((), ("--j", "cm")):
                 out.append(["verify", "--workers", "1", "--height", spec, "--bound", bound, *js])
+    for family in ("rep", "cm-rep"):  # oversized Moebius sieves are refused
+        out.append(["count", "--family", family, "--bound", "1e200"])
     return out
 
 

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nhc
+from nhc import exactarith, oracle
 from nhc.exactarith import (
+    ScanBudgetError,
     count_kfree,
     factorize,
     factorize_rational,
@@ -119,6 +122,21 @@ class TestMoebius:
             assert sieve[n] == mu_by_trial_division(n)
         for n in range(1, 500):
             assert mu_by_factorize(n) == sieve[n]
+
+
+    def test_sieve_budget(self, monkeypatch):
+        exactarith._moebius_prefix.cache_clear()
+        monkeypatch.setattr(exactarith, "_SIEVE_BUDGET", 100)
+        assert moebius_sieve(100)[100] == 0
+        with pytest.raises(ScanBudgetError, match="budget of 100 entries"):
+            moebius_sieve(101)
+
+    def test_oversized_count_refused_before_allocating(self):
+        with pytest.raises(ScanBudgetError):
+            count_kfree(10**200, 2)
+
+    def test_budget_error_is_shared(self):
+        assert nhc.ScanBudgetError is oracle.ScanBudgetError is ScanBudgetError
 
 
 class TestKfree:

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nhc.asymptotics import fixed_j_coefficient
+from nhc import families
+from nhc.asymptotics import fixed_j_coefficient, main_term_representatives_with_j
 from nhc.cuspidal import cubic_param
 from nhc.exactarith import floor_rational_root, is_kfree, moebius_sieve, ord_p
 from nhc.families import (
@@ -408,6 +409,23 @@ class TestTwists:
 
 
 class TestMinimalCurves:
+    def test_least_curve_found_once_per_j(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return cubic_param(a)
+
+        monkeypatch.setattr(families, "cubic_param", counted)
+        families._least_curve.cache_clear()
+        j = Fraction(-3375)
+        count_curves_with_j(j, CALIBRATED, 10**30)
+        count_representatives_with_j(j, CALIBRATED, 10**30)
+        param_bound(j, UNCALIBRATED, 10**9)
+        minimal_curves(j, CALIBRATED)
+        main_term_representatives_with_j(j, CALIBRATED, 10**30)
+        assert len(calls) == 1
+
     def test_table_rows(self):
         curves, h = minimal_curves(-262537412640768000, CALIBRATED)
         assert h == 2631905352272628650988

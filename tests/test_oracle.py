@@ -30,6 +30,11 @@ class TestCensus:
         c = brute_census(CALIBRATED, 27, tracked_j=[0])
         assert c.per_j[Fraction(0)] == (2, 2)  # y^2 = x^3 +- 1
 
+    def test_repeated_j_counted_once(self):
+        c = brute_census(CALIBRATED, 27, tracked_j=[0, Fraction(0), 0], collect_curves=True)
+        assert c.per_j == {Fraction(0): (2, 2)}
+        assert c.curves_by_j == {Fraction(0): [(0, -1), (0, 1)]}
+
     def test_per_j_with_collection(self):
         c = brute_census(CALIBRATED, 10**6, tracked_j=[-3375], collect_curves=True)
         assert c.per_j[Fraction(-3375)] == (2, 2)
