@@ -177,20 +177,27 @@ def brute_census(
 
     per_j: dict[Fraction, tuple[int, int]] = {}
     curves: dict[Fraction, list[tuple[int, int]]] | None = {} if collect_curves else None
+    singular = elliptic = reps = 0
     for key in tracked:
         j = Fraction(*key)
-        per_j[j] = (
-            sum(p["per_j"][key][0] for p in parts),
-            sum(p["per_j"][key][1] for p in parts),
-        )
+        tilde = sum(p["per_j"][key][0] for p in parts)
+        rep = sum(p["per_j"][key][1] for p in parts)
+        per_j[j] = (tilde, rep)
         if collect_curves:
-            curves[j] = sorted(c for p in parts for c in p["curves"][key])
+            merged: list[tuple[int, int]] = []
+            for p in parts:
+                merged.extend(p["curves"][key])
+            curves[j] = sorted(merged)
+    for p in parts:
+        singular += p["singular"]
+        elliptic += p["elliptic"]
+        reps += p["reps"]
 
     return CensusResult(
         box=b,
-        total_elliptic=sum(p["elliptic"] for p in parts),
-        total_representatives=sum(p["reps"] for p in parts),
-        singular_points=sum(p["singular"] for p in parts),
+        total_elliptic=elliptic,
+        total_representatives=reps,
+        singular_points=singular,
         per_j=per_j,
         curves_by_j=curves,
     )
