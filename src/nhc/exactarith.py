@@ -198,7 +198,7 @@ class ScanBudgetError(RuntimeError):
     """Requested scan or sieve exceeds its budget."""
 
 
-# The largest Moebius sieve built, in entries: about 80 MB as a list, enough
+# The largest Moebius sieve built, in entries: it holds about 80 MB, enough
 # for representative counts up to a calibrated cutoff of about 1e84.
 _SIEVE_BUDGET = 10**7
 

@@ -72,7 +72,6 @@ class TestCount:
         )
         assert (code, out.strip()) == (0, "820")
 
-
     @pytest.mark.parametrize("argv", [
         ("count", "--family", "rep", "--bound", "1e200"),
         ("count", "--family", "cm-rep", "--bound", "1e200"),

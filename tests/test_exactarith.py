@@ -123,7 +123,6 @@ class TestMoebius:
         for n in range(1, 500):
             assert mu_by_factorize(n) == sieve[n]
 
-
     def test_sieve_budget(self, monkeypatch):
         exactarith._moebius_prefix.cache_clear()
         monkeypatch.setattr(exactarith, "_SIEVE_BUDGET", 100)

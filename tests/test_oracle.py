@@ -1,4 +1,5 @@
-"""Census self-tests: fixed small boxes, partition determinism, budget."""
+"""Census self-tests: fixed small boxes, partition determinism, budget, and
+a reference double loop over the definitions."""
 
 import ast
 import functools
