@@ -37,8 +37,9 @@ _DENSITY_ZETA = {"all": 10, "j0": 6, "j1728": 4, "j_other": 2}
 
 
 def _mpf(q: int | Fraction) -> mpmath.mpf:
+    # dividing by the int rounds once (an mpf denominator would round twice)
     q = Fraction(q)
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 def fixed_j_coefficient(j: int | Fraction, spec: HeightSpec) -> mpmath.mpf:

@@ -11,9 +11,9 @@ Subcommands:
 Exit codes: 0 success, 2 malformed flags (``verify`` also exits 2 when
 NHC_ORACLE_CAP is not a non-negative integer), 3 a j of 0 or 1728 was
 forced down the generic fixed-j path, 4 singular curve input, 5 verify
-mismatch, 6 scan or sieve budget exceeded.  Bounds accept integers,
-scientific notation (parsed exactly: 1e25 is the integer 10^25), and
-rationals "p/q".
+mismatch, 6 scan, sieve or factoring budget exceeded.  Bounds accept
+integers, scientific notation (parsed exactly: 1e25 is the integer 10^25),
+and rationals "p/q".
 j-invariants accept rationals or CM aliases "cm:<disc>[:<conductor>]".
 """
 

@@ -12,6 +12,10 @@ from nhc import cm, families
 from nhc.heights import CALIBRATED
 
 
+# Two 31-digit primes: Pollard rho needs about 10^15 steps to split it.
+HARD_SEMIPRIME = (10**30 + 57) * (10**30 + 99)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -85,6 +89,19 @@ class TestCount:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("refused: Moebius sieve")
+
+    @pytest.mark.parametrize("argv", [
+        ("twist", "--", str(HARD_SEMIPRIME), str(HARD_SEMIPRIME)),
+        ("count", "--family", "j", "--j", f"{HARD_SEMIPRIME}/7", "--bound", "1e10"),
+    ], ids=["twist", "fixed-j"])
+    def test_factoring_budget_refused(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 3
+        assert code == 6
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("refused: factoring a 61-digit composite")
 
 
 class TestParametrize:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nhc import exactarith
 from nhc.cm import (
     CM_ORDERS,
     cm_count_table,
@@ -15,6 +16,7 @@ from nhc.cm import (
     count_cm_representatives,
     is_cm_j,
 )
+from nhc.exactarith import moebius_sieve
 from nhc.heights import CALIBRATED, UNCALIBRATED
 
 EXPECTED_J = {
@@ -70,6 +72,14 @@ class TestCounts:
         assert count_cm_representatives(CALIBRATED, 10**3) == 24
         assert count_cm_representatives(CALIBRATED, 10**6) == 508
         assert count_cm_representatives(CALIBRATED, 27 * 10**9) == 65732
+
+    def test_repeat_builds_no_sieve(self, monkeypatch):
+        # thirteen k-free counts read one shared sieve; a repeat reuses it
+        monkeypatch.setattr(exactarith, "_sieve", [])
+        first = count_cm_representatives(CALIBRATED, 10**54)
+        sieve = moebius_sieve(0)
+        assert count_cm_representatives(CALIBRATED, 10**54) == first
+        assert moebius_sieve(0) is sieve
 
     def test_totals_are_row_sums(self):
         table = cm_count_table(CALIBRATED, (10**6, 10**10))

@@ -77,6 +77,15 @@ class TestFactorize:
         for n in (9873093538, 2631905352272628650988, -(2**18) * 3**3 * 5**3 * 23**3 * 29**3):
             assert factorize(n).value() == n
 
+    def test_rho_budget_counts_every_retry(self, monkeypatch):
+        # 1363 = 29 * 47: the polynomials x^2 + 1 and x^2 + 2 collapse after
+        # 8 and 6 steps, and x^2 + 3 splits it after 5 more
+        monkeypatch.setattr(exactarith, "_RHO_BUDGET", 19)
+        assert exactarith._pollard_rho(1363) == 29
+        monkeypatch.setattr(exactarith, "_RHO_BUDGET", 18)
+        with pytest.raises(ScanBudgetError, match="budget of 18 Pollard rho steps"):
+            exactarith._pollard_rho(1363)
+
     def test_rational(self):
         f = factorize_rational(Fraction(-4, 27))
         assert f.sign == -1 and f.factors == {2: 2, 3: -3}
@@ -124,11 +133,29 @@ class TestMoebius:
             assert mu_by_factorize(n) == sieve[n]
 
     def test_sieve_budget(self, monkeypatch):
-        exactarith._moebius_prefix.cache_clear()
+        monkeypatch.setattr(exactarith, "_sieve", [])
         monkeypatch.setattr(exactarith, "_SIEVE_BUDGET", 100)
         assert moebius_sieve(100)[100] == 0
         with pytest.raises(ScanBudgetError, match="budget of 100 entries"):
             moebius_sieve(101)
+
+    def test_budget_checked_before_reuse(self, monkeypatch):
+        monkeypatch.setattr(exactarith, "_sieve", [])
+        assert len(moebius_sieve(200)) == 201
+        monkeypatch.setattr(exactarith, "_SIEVE_BUDGET", 100)
+        with pytest.raises(ScanBudgetError, match="budget of 100 entries"):
+            moebius_sieve(150)
+
+    def test_grows_only_past_its_end(self, monkeypatch):
+        monkeypatch.setattr(exactarith, "_sieve", [])
+        small = moebius_sieve(30)
+        assert len(small) == 31
+        big = moebius_sieve(10**3)
+        assert len(big) == 10**3 + 1
+        assert big[: len(small)] == small
+        assert moebius_sieve(30) is big
+        assert moebius_sieve(10**3) is big
+        assert all(big[n] == mu_by_trial_division(n) for n in range(1, 10**3 + 1))
 
     def test_budget_error_is_shared(self):
         assert nhc.ScanBudgetError is oracle.ScanBudgetError is ScanBudgetError
