@@ -16,7 +16,6 @@ from nhc.cm import (
     count_cm_representatives,
     is_cm_j,
 )
-from nhc.exactarith import moebius_sieve
 from nhc.heights import CALIBRATED, UNCALIBRATED
 
 EXPECTED_J = {
@@ -77,9 +76,9 @@ class TestCounts:
         # thirteen k-free counts read one shared sieve; a repeat reuses it
         monkeypatch.setattr(exactarith, "_sieve", [])
         first = count_cm_representatives(CALIBRATED, 10**54)
-        sieve = moebius_sieve(0)
+        sieve = exactarith.moebius_sieve(0)
         assert count_cm_representatives(CALIBRATED, 10**54) == first
-        assert moebius_sieve(0) is sieve
+        assert exactarith.moebius_sieve(0) is sieve
 
     def test_totals_are_row_sums(self):
         table = cm_count_table(CALIBRATED, (10**6, 10**10))

@@ -150,6 +150,7 @@ class TestMoebius:
         monkeypatch.setattr(exactarith, "_sieve", [])
         small = moebius_sieve(30)
         assert len(small) == 31
+        assert len(moebius_sieve(40)) == 41  # rebuilt to the limit, no growth factor
         big = moebius_sieve(10**3)
         assert len(big) == 10**3 + 1
         assert big[: len(small)] == small
