@@ -6,81 +6,101 @@ package provides exact closed-form counts (all curves, Q-isomorphism class
 representatives, fixed j-invariant, complex multiplication), the lattice
 parametrization behind them, their asymptotic main terms, and a
 brute-force census that independently verifies every formula.
+
+The public names below are loaded on first use, so an exact count never
+imports mpmath (``asymptotics``) or the process pool (``oracle``).
 """
 
-from .asymptotics import (
-    AsymptoticReport,
-    cm_asymptotic,
-    cm_coefficient_sum,
-    cm_curves_asymptotic,
-    coefficient_table,
-    density_limit,
-    error_table,
-    fixed_j_coefficient,
-    format_percent,
-    main_term_curves,
-    main_term_curves_with_j,
-    main_term_representatives,
-    main_term_representatives_with_j,
-    report,
-)
-from .cm import (
-    CM_J_INVARIANTS,
-    CM_ORDERS,
-    CmCountTable,
-    CmOrder,
-    cm_count_table,
-    cm_minimal_table,
-    cm_order,
-    cm_orders,
-    count_cm_curves,
-    count_cm_representatives,
-    is_cm_j,
-)
-from .cuspidal import cubic_param
-from .exactarith import (
-    Factorization,
-    count_kfree,
-    factorize,
-    factorize_rational,
-    floor_rational_root,
-    iroot,
-    is_kfree,
-    is_prime,
-    moebius_sieve,
-    ord_p,
-    zeta_value,
-)
-from .families import (
-    SingularCurveError,
-    SpecialJError,
-    TwistDecomposition,
-    WeierstrassCurve,
-    count_curves,
-    count_curves_with_j,
-    count_representatives,
-    count_representatives_with_j,
-    count_singular,
-    cubic_coefficient,
-    curve_from_parameter,
-    discriminant,
-    is_representative,
-    j_invariant,
-    minimal_curves,
-    param_bound,
-    twist,
-    twist_decompose,
-)
-from .heights import (
-    CALIBRATED,
-    UNCALIBRATED,
-    HeightBox,
-    HeightSpec,
-    box,
-    format_height_spec,
-    height,
-    parse_height_spec,
-)
-from .oracle import CensusResult, ScanBudgetError, brute_census, brute_minimal, scan_budget
+import importlib
 
 __version__ = "1.0.0"
+
+_SUBMODULE_NAMES = {
+    "asymptotics": (
+        "AsymptoticReport",
+        "cm_asymptotic",
+        "cm_coefficient_sum",
+        "cm_curves_asymptotic",
+        "coefficient_table",
+        "density_limit",
+        "error_table",
+        "fixed_j_coefficient",
+        "format_percent",
+        "main_term_curves",
+        "main_term_curves_with_j",
+        "main_term_representatives",
+        "main_term_representatives_with_j",
+        "report",
+        "zeta_value",
+    ),
+    "cm": (
+        "CM_ORDERS",
+        "CmCountTable",
+        "CmOrder",
+        "cm_count_table",
+        "cm_minimal_table",
+        "cm_order",
+        "count_cm_curves",
+        "count_cm_representatives",
+    ),
+    "cuspidal": ("cubic_param",),
+    "exactarith": (
+        "Factorization",
+        "ScanBudgetError",
+        "count_kfree",
+        "factorize",
+        "factorize_rational",
+        "floor_rational_root",
+        "iroot",
+        "is_prime",
+        "moebius_sieve",
+    ),
+    "families": (
+        "SingularCurveError",
+        "SpecialJError",
+        "TwistDecomposition",
+        "WeierstrassCurve",
+        "count_curves",
+        "count_curves_with_j",
+        "count_representatives",
+        "count_representatives_with_j",
+        "count_singular",
+        "cubic_coefficient",
+        "curve_from_parameter",
+        "discriminant",
+        "is_representative",
+        "j_invariant",
+        "minimal_curves",
+        "param_bound",
+        "twist",
+        "twist_decompose",
+    ),
+    "heights": (
+        "CALIBRATED",
+        "UNCALIBRATED",
+        "HeightBox",
+        "HeightSpec",
+        "box",
+        "format_height_spec",
+        "height",
+        "parse_height_spec",
+    ),
+    "oracle": ("CensusResult", "brute_census", "brute_minimal", "scan_budget"),
+}
+_SUBMODULE = {name: mod for mod, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name in _SUBMODULE_NAMES:  # a submodule not yet imported
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULE))

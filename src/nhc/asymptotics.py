@@ -28,12 +28,21 @@ from typing import NamedTuple
 import mpmath
 
 from .cm import CM_ORDERS, count_cm_representatives
-from .exactarith import zeta_value
 from .families import SpecialJError, _least_curve
 from .heights import HeightSpec, height
 
 _DPS = 50
 _DENSITY_ZETA = {"all": 10, "j0": 6, "j1728": 4, "j_other": 2}
+# Closed forms zeta(s) = pi^s / const for the only s the main terms use.
+_ZETA_CLOSED_FORMS = {2: 6, 4: 90, 6: 945, 10: 93555}
+
+
+def zeta_value(s: int) -> mpmath.mpf:
+    """zeta(s) for s in {2, 4, 6, 10} via the closed forms pi^s / const,
+    at the caller's working precision."""
+    if s not in _ZETA_CLOSED_FORMS:
+        raise ValueError(f"zeta_value supports s in {sorted(_ZETA_CLOSED_FORMS)}, not {s}")
+    return mpmath.pi**s / _ZETA_CLOSED_FORMS[s]
 
 
 def _mpf(q: int | Fraction) -> mpmath.mpf:

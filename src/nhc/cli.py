@@ -11,10 +11,13 @@ Subcommands:
 Exit codes: 0 success, 2 malformed flags (``verify`` also exits 2 when
 NHC_ORACLE_CAP is not a non-negative integer), 3 a j of 0 or 1728 was
 forced down the generic fixed-j path, 4 singular curve input, 5 verify
-mismatch, 6 scan, sieve or factoring budget exceeded.  Bounds accept
-integers, scientific notation (parsed exactly: 1e25 is the integer 10^25),
-and rationals "p/q".
+mismatch, 6 scan, sieve, factoring or row budget exceeded (``parametrize``
+lists at most 10^6 curves).  Bounds accept integers, scientific notation
+(parsed exactly: 1e25 is the integer 10^25), and rationals "p/q".
 j-invariants accept rationals or CM aliases "cm:<disc>[:<conductor>]".
+
+mpmath (``asymptotics``) and the census pool (``oracle``) are imported only
+by the commands that use them, so the exact commands start without them.
 """
 
 from __future__ import annotations
@@ -27,10 +30,8 @@ import os
 import sys
 from fractions import Fraction
 
-import mpmath
-
-from . import asymptotics, cm, families, oracle
-from .exactarith import moebius_sieve
+from . import cm, families
+from .exactarith import ScanBudgetError, count_kfree, moebius_sieve
 from .families import SingularCurveError, SpecialJError, WeierstrassCurve
 from .heights import HeightSpec, height, parse_height_spec
 
@@ -83,7 +84,8 @@ def _fmt(value) -> str:
     """One cell as text (rationals as p/q, high-precision floats trimmed)."""
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else str(value)
-    if isinstance(value, mpmath.mpf):
+    mpmath = sys.modules.get("mpmath")  # not loaded: no value is an mpf
+    if mpmath is not None and isinstance(value, mpmath.mpf):
         return mpmath.nstr(value, 12)
     return str(value)
 
@@ -96,7 +98,8 @@ def _json_cell(value, as_string: bool):
         return str(value) if as_string or abs(value) > 2**53 else value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, mpmath.mpf):
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None and isinstance(value, mpmath.mpf):
         return float(value)
     if isinstance(value, float):
         return value
@@ -141,23 +144,22 @@ def cmd_count(args) -> int:
         print("error: --j is required for --family j", file=sys.stderr)
         return 2
     spec, x = args.height, args.bound
-    if args.family == "all":
-        exact = families.count_curves(spec, x)
-        approx = asymptotics.main_term_curves(spec, x)
-    elif args.family == "rep":
-        exact = families.count_representatives(spec, x)
-        approx = asymptotics.main_term_representatives(spec, x)
-    elif args.family == "j":
-        exact = families.count_curves_with_j(args.j, spec, x)
-        approx = asymptotics.main_term_curves_with_j(args.j, spec, x)
-    elif args.family == "cm":
-        exact = cm.count_cm_curves(spec, x)
-        approx = asymptotics.cm_curves_asymptotic(spec, x)
-    else:  # cm-rep
-        exact = cm.count_cm_representatives(spec, x)
-        approx = asymptotics.cm_asymptotic(spec, x)
+    family_args = (args.j, spec, x) if args.family == "j" else (spec, x)
+    count, main_term = {
+        "all": (families.count_curves, "main_term_curves"),
+        "rep": (families.count_representatives, "main_term_representatives"),
+        "j": (families.count_curves_with_j, "main_term_curves_with_j"),
+        "cm": (cm.count_cm_curves, "cm_curves_asymptotic"),
+        "cm-rep": (cm.count_cm_representatives, "cm_asymptotic"),
+    }[args.family]
+    exact = count(*family_args)
     print(exact)
     if args.asymptotic:
+        import mpmath
+
+        from . import asymptotics
+
+        approx = getattr(asymptotics, main_term)(*family_args)
         rep = asymptotics.report(exact, float(approx))
         print(f"main term: {mpmath.nstr(approx, 12)}")
         print(f"relative error: {rep.percent()}")
@@ -165,6 +167,10 @@ def cmd_count(args) -> int:
 
 
 # ---------------------------------------------------------- parametrize --
+
+# The most curves `parametrize` lists (only the square-free m count under
+# --squarefree-only): every row is built before the first is printed.
+_ROW_BUDGET = 10**6
 
 
 def cmd_parametrize(args) -> int:
@@ -176,6 +182,9 @@ def cmd_parametrize(args) -> int:
             "instead (use `count --family rep`)"
         )
     bound = families.param_bound(j, spec, x)
+    listed = 2 * (count_kfree(bound, 2) if args.squarefree_only else bound)
+    if listed > _ROW_BUDGET:
+        raise ScanBudgetError(f"listing {listed} curves exceeds the budget of {_ROW_BUDGET} rows")
     mu = moebius_sieve(bound) if args.squarefree_only else None
     rows = []
     for m in range(-bound, bound + 1):
@@ -231,6 +240,10 @@ def _table_cm_counts(spec: HeightSpec, bounds):
 
 
 def _table_coefficients(spec: HeightSpec):
+    import mpmath
+
+    from . import asymptotics
+
     rows = [
         {
             "d_K": r.disc,
@@ -244,6 +257,8 @@ def _table_coefficients(spec: HeightSpec):
 
 
 def _table_relative_error(spec: HeightSpec):
+    from . import asymptotics
+
     rows = [
         {
             "X": r.bound,
@@ -274,6 +289,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     spec, x = args.height, args.bound
     tracked = args.j or []
     census = oracle.brute_census(
@@ -371,6 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
+        from . import oracle
+
         try:
             oracle.scan_budget()
         except ValueError as exc:
@@ -386,7 +405,7 @@ def main(argv=None) -> int:
     except SingularCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except oracle.ScanBudgetError as exc:
+    except ScanBudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 6
 

@@ -46,23 +46,12 @@ CM_ORDERS: tuple[CmOrder, ...] = (
     CmOrder(-163, 1, -262537412640768000),  # -2^18 3^3 5^3 23^3 29^3
 )
 
-CM_J_INVARIANTS: frozenset[int] = frozenset(order.j for order in CM_ORDERS)
-
-
-def cm_orders() -> list[CmOrder]:
-    return list(CM_ORDERS)
-
 
 def cm_order(disc: int, conductor: int = 1) -> CmOrder:
     for order in CM_ORDERS:
         if order.disc == disc and order.conductor == conductor:
             return order
     raise KeyError(f"no rational CM order with discriminant {disc}, conductor {conductor}")
-
-
-def is_cm_j(j: int | Fraction) -> bool:
-    j = Fraction(j)
-    return j.denominator == 1 and j.numerator in CM_J_INVARIANTS
 
 
 def count_cm_curves(spec: HeightSpec, bound: int | Fraction) -> int:

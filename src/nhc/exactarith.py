@@ -4,21 +4,17 @@ Everything downstream (height boxes, cuspidal-cubic lattices, curve counts)
 reduces to a handful of exact primitives collected here:
 
     factorize(n)              sign and prime exponents of a nonzero integer
-    ord_p(q, p)               exponent of p in a nonzero rational
     moebius_sieve(N)          Moebius function on 0..N, read from one shared
                               sieve that grows on demand (at most 10^7
                               entries; larger raises ScanBudgetError)
-    is_kfree(n, k)            no prime p has p^k | n
     iroot(n, k)               floor(n^(1/k)) for integers, exact
     floor_rational_root(q, k) floor(q^(1/k)) for rationals, exact
     count_kfree(M, k)         number of k-free integers in [1, M], exact
-    zeta_value(s)             zeta(s) for s in {2, 4, 6, 10}
 
-All results are exact (the zeta values are good to a few units in the last
-place of the caller's working precision).  Counting formulas in the rest of
-the package are floors of algebraic expressions, so "close enough" roots are
-never acceptable: every root routine here certifies m^k <= x < (m+1)^k
-before returning m.
+All results are exact.  Counting formulas in the rest of the package are
+floors of algebraic expressions, so "close enough" roots are never
+acceptable: every root routine here certifies m^k <= x < (m+1)^k before
+returning m.
 
 Rational numbers are ``fractions.Fraction`` values throughout: the stdlib
 type already guarantees lowest terms and a positive denominator, which is
@@ -32,8 +28,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-
-import mpmath
 
 # Trial division handles all prime factors below this bound; Pollard rho
 # takes over for anything larger.
@@ -191,26 +185,6 @@ def factorize_rational(q: Fraction) -> Factorization:
     return Factorization(num.sign, out)
 
 
-def ord_p(q: int | Fraction, p: int) -> int:
-    """Exponent of the prime p in the nonzero rational q (negative when p
-    divides the denominator)."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("ord_p is undefined at 0")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    e = 0
-    num = abs(q.numerator)
-    while num % p == 0:
-        num //= p
-        e += 1
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        e -= 1
-    return e
-
-
 # The largest Moebius sieve built, in entries: enough for representative
 # counts up to a calibrated cutoff of about 1e84.  By tracemalloc it holds
 # 80 MB and peaks at 107 MB while it is built.
@@ -243,15 +217,6 @@ def moebius_sieve(limit: int) -> list[int]:
                 mu[i * p] = -mu[i]
         _sieve = mu
     return _sieve
-
-
-def is_kfree(n: int, k: int) -> bool:
-    """True iff no prime p has p^k dividing n."""
-    if n == 0:
-        raise ValueError("0 is divisible by every prime power")
-    if k < 2:
-        raise ValueError("k-free needs k >= 2")
-    return all(e < k for e in factorize(n).factors.values())
 
 
 def iroot(n: int, k: int) -> int:
@@ -312,15 +277,3 @@ def count_kfree(limit: int, k: int) -> int:
     r = iroot(limit, k)
     mu = moebius_sieve(r)
     return sum(mu[d] * (limit // d**k) for d in range(1, r + 1) if mu[d])
-
-
-# Closed forms for the only zeta values the counting formulas use.
-_ZETA_CLOSED_FORMS = {2: 6, 4: 90, 6: 945, 10: 93555}
-
-
-def zeta_value(s: int) -> mpmath.mpf:
-    """zeta(s) for s in {2, 4, 6, 10} via the closed forms pi^s / const,
-    at the caller's working precision."""
-    if s not in _ZETA_CLOSED_FORMS:
-        raise ValueError(f"zeta_value supports s in {sorted(_ZETA_CLOSED_FORMS)}, not {s}")
-    return mpmath.pi**s / _ZETA_CLOSED_FORMS[s]

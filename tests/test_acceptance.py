@@ -20,9 +20,9 @@ from fractions import Fraction
 
 import mpmath
 
-from nhc.asymptotics import cm_asymptotic, cm_coefficient_sum, coefficient_table
+from nhc.asymptotics import cm_asymptotic, cm_coefficient_sum, coefficient_table, zeta_value
 from nhc.cm import CM_ORDERS, cm_count_table, cm_minimal_table, count_cm_representatives
-from nhc.exactarith import factorize, floor_rational_root, is_kfree, ord_p, zeta_value
+from nhc.exactarith import factorize, floor_rational_root
 from nhc.families import (
     count_curves,
     count_curves_with_j,
@@ -36,6 +36,8 @@ from nhc.families import (
 )
 from nhc.heights import CALIBRATED, UNCALIBRATED
 from nhc.oracle import brute_census
+
+from arith_reference import is_kfree, ord_p
 
 CM_J = tuple(o.j for o in CM_ORDERS)
 

@@ -23,6 +23,7 @@ from nhc.asymptotics import (
     main_term_representatives,
     main_term_representatives_with_j,
     report,
+    zeta_value,
 )
 from nhc.cm import CM_ORDERS
 from nhc.families import minimal_curves
@@ -188,3 +189,23 @@ class TestReport:
         assert format_percent(0.0345155) == "3.5%"
         assert format_percent(0.0086) == "0.86%"
         assert format_percent(0.0039649) == "0.40%"
+
+
+class TestZeta:
+    def test_reference_digits(self):
+        assert mpmath.nstr(zeta_value(2), 16) == "1.644934066848226"
+        assert mpmath.nstr(zeta_value(4), 16) == "1.082323233711138"
+        assert mpmath.nstr(zeta_value(6), 16) == "1.017343061984449"
+        assert mpmath.nstr(zeta_value(10), 16) == "1.000994575127818"
+
+    def test_precision_at_least_30_digits(self):
+        with mpmath.workdps(45):
+            reference = mpmath.zeta(10)
+            assert abs(zeta_value(10) - reference) < mpmath.mpf(10) ** -30
+
+    def test_unsupported(self):
+        with pytest.raises(ValueError):
+            zeta_value(3)
+
+    def test_most_curves_are_representatives(self):
+        assert abs(1 / zeta_value(10) - Fraction(999, 1000)) < 0.001

@@ -1,11 +1,15 @@
 """CLI tests: every command is a thin adapter over the library, with the
 documented exit codes and formats."""
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nhc.cli as cli
 from nhc import cm, families
@@ -139,6 +143,29 @@ class TestParametrize:
         )
         assert code == 3
         assert "6-free" in err
+
+    def test_row_budget_refused(self, capsys):
+        # j = 0 at cal 1e16 has 2 * floor(sqrt(1e16 / 27)) = 38,490,016 curves
+        start = time.perf_counter()
+        code, out, err = run(capsys, "parametrize", "--j", "0", "--bound", "1e16")
+        assert time.perf_counter() - start < 1
+        assert code == 6
+        assert out == ""
+        assert err == "refused: listing 38490016 curves exceeds the budget of 1000000 rows\n"
+
+    def test_row_budget_edge(self, capsys, monkeypatch):
+        # j = 54000 (cal) has least height 13500, so |m| <= (X / 13500)^(1/6):
+        # at X = 4^6 * 13500 that is 8 curves, 6 of them with m square-free
+        argv = ("parametrize", "--j", "54000", "--bound", str(4**6 * 13500))
+        monkeypatch.setattr(cli, "_ROW_BUDGET", 6)
+        code, out, _ = run(capsys, *argv, "--squarefree-only")
+        assert (code, len(out.splitlines())) == (0, 7)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (6, "")
+        assert err.startswith("refused: listing 8 curves")
+        monkeypatch.setattr(cli, "_ROW_BUDGET", 8)
+        code, out, _ = run(capsys, *argv)
+        assert (code, len(out.splitlines())) == (0, 9)
 
     def test_json_big_integers_are_strings(self, capsys):
         code, out, _ = run(
@@ -284,3 +311,93 @@ class TestVerify:
         assert code == 5
         assert "mismatch in family: curves" in err
         assert "FAIL" in out
+
+
+# Inputs for the fuzz below.  Valid values are small enough that every
+# command answers in well under a second, or so large that it is refused at
+# once; one token in three of the commands is dropped, replaced or followed
+# by a malformed one.
+BOUNDS = st.one_of(
+    st.integers(1, 10**5).map(str),
+    st.sampled_from(["1/3", "7/2", "27e3", "1e5", "1e16", "1e200"]),
+)
+J_VALUES = st.one_of(
+    st.fractions(min_value=-3000, max_value=3000, max_denominator=30).map(str),
+    st.sampled_from(["0", "1728", "cm:-7", "cm:-3:2", "cm:-163"]),
+)
+HEIGHTS = st.one_of(
+    st.sampled_from(["cal", "ncal"]),
+    st.builds("alpha/{}:{},beta/{}:{}".format, *[st.integers(1, 9)] * 4),
+)
+MALFORMED = st.sampled_from([
+    "--bound=0", "--bound=-1", "--bound=1/0", "--bound=banana", "--j=cm:-5", "--j=1/0",
+    "--height=alpha/0:1,beta/1:1", "--height=weird", "--format=xml", "--family=cusp",
+    "--name=bogus", "--bounds=1,,2", "--workers=0", "--frobnicate", "x", "-5",
+])
+
+
+def _flag(name, values):
+    return values.map(lambda v: f"{name}={v}")
+
+
+COMMANDS = st.one_of(
+    st.tuples(
+        st.just("count"), _flag("--family", st.sampled_from(["all", "rep", "j", "cm", "cm-rep"])),
+        _flag("--height", HEIGHTS), _flag("--bound", BOUNDS), _flag("--j", J_VALUES),
+        st.sampled_from(["--height=cal", "--asymptotic"]),
+    ),
+    st.tuples(
+        st.just("parametrize"), _flag("--j", J_VALUES), _flag("--height", HEIGHTS),
+        _flag("--bound", BOUNDS), st.sampled_from(["--height=cal", "--squarefree-only"]),
+        _flag("--format", st.sampled_from(["table", "csv", "json"])),
+    ),
+    st.tuples(
+        st.just("twist"), st.just("--"),
+        st.one_of(st.integers(-10**6, 10**6), st.sampled_from([-3, 0, -12])).map(str),
+        st.one_of(st.integers(-10**6, 10**6), st.sampled_from([2, 0, 16])).map(str),
+    ),
+    st.tuples(
+        st.just("tables"),
+        _flag("--name", st.sampled_from(
+            ["cm-minimal", "cm-counts", "coefficients", "relative-error"])),
+        _flag("--height", HEIGHTS), _flag("--bounds", st.lists(BOUNDS, min_size=1, max_size=3)
+                                          .map(",".join)),
+        _flag("--format", st.sampled_from(["table", "csv", "json"])),
+    ),
+    st.tuples(
+        st.just("verify"), _flag("--height", HEIGHTS),
+        _flag("--bound", st.one_of(st.integers(1, 10**4), st.just(10**200)).map(str)),
+        _flag("--j", st.one_of(st.just("cm"), st.lists(J_VALUES, max_size=3).map(",".join))),
+        st.just("--workers=1"),
+    ),
+).map(list)
+
+
+@st.composite
+def cli_argvs(draw):
+    argv = draw(COMMANDS)
+    how = draw(st.sampled_from(["keep", "keep", "drop", "replace", "append", "keep"]))
+    if how == "drop":
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    elif how == "replace":
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(MALFORMED)
+    elif how == "append":
+        argv.append(draw(MALFORMED))
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=5000)
+    @given(cli_argvs())
+    def test_documented_exits(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: usage lines, then the error
+                assert exc.code == 2, argv
+                assert "error:" in err.getvalue().splitlines()[-1], argv
+                return
+        assert code in (0, 2, 3, 4, 6), argv
+        assert len(err.getvalue().splitlines()) <= 1, argv
+        assert (code == 0) == (err.getvalue() == ""), argv

@@ -1,8 +1,6 @@
 """CM order table and CM counting tests (reference values frozen from the
 exact formulas and hand-checked heights)."""
 
-from fractions import Fraction
-
 import pytest
 
 from nhc import exactarith
@@ -11,10 +9,8 @@ from nhc.cm import (
     cm_count_table,
     cm_minimal_table,
     cm_order,
-    cm_orders,
     count_cm_curves,
     count_cm_representatives,
-    is_cm_j,
 )
 from nhc.heights import CALIBRATED, UNCALIBRATED
 
@@ -37,7 +33,7 @@ EXPECTED_J = {
 
 class TestOrders:
     def test_thirteen(self):
-        assert len(cm_orders()) == 13
+        assert len(CM_ORDERS) == 13
         assert len({o.j for o in CM_ORDERS}) == 13
 
     def test_pairing(self):
@@ -54,12 +50,6 @@ class TestOrders:
     def test_unknown_order(self):
         with pytest.raises(KeyError):
             cm_order(-5)
-
-    def test_is_cm_j(self):
-        assert is_cm_j(0)
-        assert is_cm_j(8000)
-        assert not is_cm_j(1729)
-        assert not is_cm_j(Fraction(1, 2))
 
 
 class TestCounts:

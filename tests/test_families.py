@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from nhc import families
 from nhc.asymptotics import fixed_j_coefficient, main_term_representatives_with_j
 from nhc.cuspidal import cubic_param
-from nhc.exactarith import floor_rational_root, is_kfree, moebius_sieve, ord_p
+from nhc.exactarith import floor_rational_root, moebius_sieve
 from nhc.families import (
     SingularCurveError,
     SpecialJError,
@@ -39,6 +39,8 @@ from nhc.families import (
 )
 from nhc.heights import CALIBRATED, UNCALIBRATED, HeightBox, HeightSpec, box, height
 from nhc.oracle import brute_census
+
+from arith_reference import is_kfree, ord_p
 
 CM_J = (
     0,
