@@ -21,7 +21,6 @@ freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -139,8 +138,7 @@ def density_limit(family: str) -> float:
         return float(1 / zeta_value(_DENSITY_ZETA[family]))
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     exact: int
     approximation: float
     relative_error: float  # NaN when exact = 0 but approximation is not

@@ -15,6 +15,10 @@ mismatch, 6 scan, sieve, factoring or row budget exceeded (``parametrize``
 lists at most 10^6 curves).  Bounds accept integers, scientific notation
 (parsed exactly: 1e25 is the integer 10^25), and rationals "p/q".
 j-invariants accept rationals or CM aliases "cm:<disc>[:<conductor>]".
+A numerator, denominator or height weight of more than 250 digits (an
+exponent eN counts as N digits) is a malformed flag.  csv and json are
+written row by row; only the table format holds every row, for its
+column widths.
 
 mpmath (``asymptotics``) and the census pool (``oracle``) are imported only
 by the commands that use them, so the exact commands start without them.
@@ -24,10 +28,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
+import re
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from . import cm, families
@@ -36,7 +41,26 @@ from .families import SingularCurveError, SpecialJError, WeierstrassCurve
 from .heights import HeightSpec, height, parse_height_spec
 
 
+# The most digits in a numerator, denominator or height weight of a flag;
+# 10^200 (201 digits) stays in range.
+_DIGIT_CAP = 250
+
+
+def _check_digits(text: str) -> None:
+    """Refuse a flag with an oversized number, judged on the text before any
+    Fraction is built: Fraction("1e10000000") alone takes seconds."""
+    for number in re.split("[/:,]", text):
+        mantissa, _, exp = number.lower().partition("e")
+        try:
+            digits = sum(map(str.isdigit, mantissa)) + abs(int(exp or 0))
+        except ValueError:  # the e is no exponent (as in "beta"), or the text is malformed
+            digits = sum(map(str.isdigit, number))
+        if digits > _DIGIT_CAP:
+            raise argparse.ArgumentTypeError(f"more than {_DIGIT_CAP} digits in {text[:40]!r}")
+
+
 def _parse_bound(text: str) -> Fraction:
+    _check_digits(text)
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -47,6 +71,7 @@ def _parse_bound(text: str) -> Fraction:
 
 
 def _parse_height(text: str) -> HeightSpec:
+    _check_digits(text)
     try:
         return parse_height_spec(text)
     except ValueError as exc:
@@ -61,13 +86,12 @@ def _parse_workers(text: str) -> int:
 
 def _parse_j(text: str) -> Fraction:
     if text.startswith("cm:"):
-        parts = text[3:].split(":")
+        disc, sep, conductor = text[3:].partition(":")
         try:
-            disc = int(parts[0])
-            conductor = int(parts[1]) if len(parts) > 1 else 1
-            return Fraction(cm.cm_order(disc, conductor).j)
+            return Fraction(cm.cm_order(int(disc), int(conductor) if sep else 1).j)
         except (ValueError, KeyError) as exc:
             raise argparse.ArgumentTypeError(f"bad CM alias {text!r}") from exc
+    _check_digits(text)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -77,7 +101,8 @@ def _parse_j(text: str) -> Fraction:
 def _parse_j_list(text: str) -> list[Fraction]:
     if text.strip().lower() == "cm":
         return [Fraction(o.j) for o in cm.CM_ORDERS]
-    return [_parse_j(tok) for tok in text.split(",") if tok.strip()]
+    # a repeated j is checked once, in first-seen order
+    return list(dict.fromkeys(_parse_j(tok) for tok in text.split(",") if tok.strip()))
 
 
 def _fmt(value) -> str:
@@ -106,22 +131,29 @@ def _json_cell(value, as_string: bool):
     return str(value)
 
 
-def _emit(args, headers: list[str], rows: list[dict], string_cols=frozenset()) -> None:
+def _emit(args, headers: list[str], rows: Iterable[dict], string_cols=frozenset()) -> None:
+    """Write the rows; csv and json write each as it comes."""
     fmt = getattr(args, "format", "table")
     out = open(args.output, "w") if getattr(args, "output", None) else sys.stdout
     try:
         if fmt == "json":
-            payload = [
-                {h: _json_cell(row[h], h in string_cols) for h in headers} for row in rows
-            ]
-            print(json.dumps(payload, indent=2), file=out)
+            # the layout of json.dumps(list_of_rows, indent=2), row by row;
+            # every cell is a scalar
+            keys = {h: f"    {json.dumps(h)}: " for h in headers}
+            first = True
+            for row in rows:
+                cells = ",\n".join(
+                    key + json.dumps(_json_cell(row[h], h in string_cols))
+                    for h, key in keys.items()
+                )
+                out.write(("[\n" if first else ",\n") + "  {\n" + cells + "\n  }")
+                first = False
+            print("[]" if first else "\n]", file=out)
         elif fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf)
+            writer = csv.writer(out)
             writer.writerow(headers)
             for row in rows:
                 writer.writerow([_fmt(row[h]) for h in headers])
-            out.write(buf.getvalue())
         else:
             cells = [[_fmt(row[h]) for h in headers] for row in rows]
             widths = [
@@ -169,7 +201,9 @@ def cmd_count(args) -> int:
 # ---------------------------------------------------------- parametrize --
 
 # The most curves `parametrize` lists (only the square-free m count under
-# --squarefree-only): every row is built before the first is printed.
+# --squarefree-only).  csv and json stream their rows, but the table keeps
+# every cell for its column widths, and a listing at the budget already
+# takes seconds.
 _ROW_BUDGET = 10**6
 
 
@@ -186,15 +220,14 @@ def cmd_parametrize(args) -> int:
     if listed > _ROW_BUDGET:
         raise ScanBudgetError(f"listing {listed} curves exceeds the budget of {_ROW_BUDGET} rows")
     mu = moebius_sieve(bound) if args.squarefree_only else None
-    rows = []
-    for m in range(-bound, bound + 1):
-        if m == 0:
-            continue
-        if mu is not None and not mu[abs(m)]:
-            continue
-        curve = families.curve_from_parameter(j, m)
-        rows.append({"m": m, "A": curve.A, "B": curve.B, "height": height(spec, curve)})
-    _emit(args, ["m", "A", "B", "height"], rows, string_cols={"A", "B"})
+
+    def rows():
+        for m in range(-bound, bound + 1):
+            if m and (mu is None or mu[abs(m)]):
+                curve = families.curve_from_parameter(j, m)
+                yield {"m": m, "A": curve.A, "B": curve.B, "height": height(spec, curve)}
+
+    _emit(args, ["m", "A", "B", "height"], rows(), string_cols={"A", "B"})
     return 0
 
 

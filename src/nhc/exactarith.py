@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 # Trial division handles all prime factors below this bound; Pollard rho
 # takes over for anything larger.
@@ -120,8 +120,7 @@ def _pollard_rho(n: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Sign and prime exponents: value = sign * prod(p**e).
 
     ``factors`` maps primes (strictly increasing key order) to nonzero
@@ -130,7 +129,7 @@ class Factorization:
     """
 
     sign: int
-    factors: dict[int, int] = field(default_factory=dict)
+    factors: dict[int, int]
 
     def value(self) -> int | Fraction:
         v = Fraction(self.sign)

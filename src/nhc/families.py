@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -99,8 +98,7 @@ def twist(curve: WeierstrassCurve | tuple[int, int], d: int) -> WeierstrassCurve
     return WeierstrassCurve(d**4 * a, d**6 * b)
 
 
-@dataclass(frozen=True)
-class TwistDecomposition:
+class TwistDecomposition(NamedTuple):
     d: int
     representative: WeierstrassCurve
 

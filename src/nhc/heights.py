@@ -18,32 +18,34 @@ lattice point satisfies the height bound iff it lies inside the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactarith import floor_rational_root
 
 
-@dataclass(frozen=True)
-class HeightSpec:
-    """Positive rational weights (alpha, beta) of the height max-form."""
-
+class _Weights(NamedTuple):
     alpha: Fraction
     beta: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.alpha <= 0 or self.beta <= 0:
+
+class HeightSpec(_Weights):
+    """Positive rational weights (alpha, beta) of the height max-form."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha, beta):
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        if alpha <= 0 or beta <= 0:
             raise ValueError("height weights must be positive")
+        return super().__new__(cls, alpha, beta)
 
 
 CALIBRATED = HeightSpec(Fraction(4), Fraction(27))
 UNCALIBRATED = HeightSpec(Fraction(1), Fraction(1))
 
 
-@dataclass(frozen=True)
-class HeightBox:
+class HeightBox(NamedTuple):
     """Integer bounds: height <= X iff |A| <= x_bound and |B| <= y_bound."""
 
     x_bound: int
@@ -74,11 +76,13 @@ def parse_height_spec(text: str) -> HeightSpec:
         return CALIBRATED
     if t == "ncal":
         return UNCALIBRATED
+    items = t.split(",")
     try:
-        parts = dict(item.split("/", 1) for item in t.split(","))
-        alpha = Fraction(*map(int, parts["alpha"].split(":")))
-        beta = Fraction(*map(int, parts["beta"].split(":")))
-    except (KeyError, ValueError, TypeError) as exc:
+        parts = dict(item.split("/", 1) for item in items)
+        if len(items) != 2 or parts.keys() != {"alpha", "beta"}:
+            raise KeyError(t)
+        alpha, beta = (Fraction(*map(int, parts[k].split(":"))) for k in ("alpha", "beta"))
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(
             f"bad height spec {text!r}; expected 'cal', 'ncal' or "
             "'alpha/<num>:<den>,beta/<num>:<den>'"

@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactarith import ScanBudgetError, _small_primes
 from .heights import CALIBRATED, HeightBox, HeightSpec, box, height
@@ -46,8 +46,7 @@ def scan_budget() -> int:
     return (2 * b.x_bound + 1) * (2 * b.y_bound + 1)
 
 
-@dataclass
-class CensusResult:
+class CensusResult(NamedTuple):
     box: HeightBox
     total_elliptic: int
     total_representatives: int

@@ -6,6 +6,7 @@ import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -123,10 +124,31 @@ class TestParametrize:
         assert code == 0
         assert [(r[1], r[2]) for r in rows] == [("0", "-1"), ("0", "1")]
 
-    def test_below_minimal_height_is_empty(self, capsys):
-        code, out, _ = run(capsys, "parametrize", "--j=-3375", "--height", "cal", "--bound", "259307")
-        assert code == 0
-        assert len(out.splitlines()) == 1  # header only
+    @pytest.mark.parametrize("fmt, empty", [
+        ("table", "m  A  B  height\n"), ("csv", "m,A,B,height\r\n"), ("json", "[]\n"),
+    ])
+    def test_below_minimal_height_is_empty(self, capsys, fmt, empty):
+        code, out, _ = run(capsys, "parametrize", "--j=-3375", "--height", "cal", "--bound", "259307",
+                           "--format", fmt)
+        assert (code, out) == (0, empty)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_written_as_they_come(self, fmt):
+        out = io.StringIO()
+        written = []  # the output so far, as each row is asked for
+
+        def rows():
+            for m in range(3):
+                written.append(out.getvalue())
+                yield {"m": m, "A": -m, "B": 10**20}
+
+        with redirect_stdout(out):
+            cli._emit(SimpleNamespace(format=fmt), ["m", "A", "B"], rows(), string_cols={"B"})
+        assert 0 < len(written[1]) < len(written[2]) < len(out.getvalue())
+        assert all(out.getvalue().startswith(w) for w in written)
+        if fmt == "json":
+            expected = [{"m": m, "A": -m, "B": str(10**20)} for m in range(3)]
+            assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
 
     def test_squarefree_filter(self, capsys):
         code, out, _ = run(
@@ -276,6 +298,20 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_alias_of_a_listed_j_checks_it_once(self, capsys):
+        code, out, _ = run(capsys, "verify", "--height", "cal", "--bound", "1e5",
+                           "--j", "54000,cm:-3:2", "--workers", "1")
+        assert code == 0
+        assert out == (
+            "PASS  curves: formula=7132 census=7132\n"
+            "PASS  representatives: formula=7130 census=7130\n"
+            "PASS  singular-locus: formula=7 census=7\n"
+            "PASS  curves j=54000: formula=2 census=2\n"
+            "PASS  representatives j=54000: formula=2 census=2\n"
+            "PASS  all formulas agree with the census of HeightBox(x_bound=29, y_bound=60) "
+            "at bound 100000\n"
+        )
+
     def test_cm_keyword_tracks_thirteen(self, capsys):
         code, out, _ = run(capsys, "verify", "--height", "ncal", "--bound", "100",
                            "--j", "cm", "--workers", "1")
@@ -333,6 +369,8 @@ MALFORMED = st.sampled_from([
     "--bound=0", "--bound=-1", "--bound=1/0", "--bound=banana", "--j=cm:-5", "--j=1/0",
     "--height=alpha/0:1,beta/1:1", "--height=weird", "--format=xml", "--family=cusp",
     "--name=bogus", "--bounds=1,,2", "--workers=0", "--frobnicate", "x", "-5",
+    "--height=alpha/1:0,beta/1:1", "--height=alpha/1:1,beta/1:1,gamma/1:1", "--j=cm:-3:2:9",
+    "--bound=1e1000000", "--j=1e5000",
 ])
 
 
@@ -387,6 +425,34 @@ def cli_argvs(draw):
 
 
 class TestFuzz:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--family=all", "--bound=1e10000"],
+        ["count", "--family=rep", "--bound=1e100000"],
+        ["count", "--family=all", "--bound=1e1000000"],
+        ["count", "--family=all", "--bound=1e-10000000"],
+        ["count", "--family=all", "--bound=" + "9" * 10**6],
+        ["count", "--family=j", "--j=1e5000", "--bound=1e10"],
+        ["parametrize", "--j=0", "--bound=1e10000"],
+        ["tables", "--name=cm-counts", "--bounds=1e9000"],
+        ["count", "--family=all", "--height=alpha/1:0,beta/1:1", "--bound=10"],
+        ["verify", "--height=alpha/1:0,beta/1:1", "--bound=10"],
+        ["count", "--family=all", "--height=alpha/1,beta/1,gamma/3", "--bound=10"],
+        ["count", "--family=all", "--height=alpha/1:1,beta/1:1,gamma/1:1", "--bound=10"],
+        ["count", "--family=all", "--height=alpha/1" + "0" * 300 + ":1,beta/1:1", "--bound=10"],
+        ["count", "--family=j", "--j=cm:-3:2:junk", "--bound=10"],
+        ["verify", "--j=54000,cm:-3:2:9", "--bound=10"],
+    ])
+    def test_malformed_flag_exits_2_at_once(self, argv):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert errors == err.getvalue().splitlines()[-1:]
+        assert "Traceback" not in err.getvalue()
+
     @settings(max_examples=200, deadline=5000)
     @given(cli_argvs())
     def test_documented_exits(self, argv):

@@ -76,6 +76,12 @@ class TestBox:
 
 
 class TestSpecParsing:
+    def test_weights_become_fractions(self):
+        spec = HeightSpec(1, 60)
+        assert type(spec.alpha) is type(spec.beta) is Fraction
+        assert spec == HeightSpec(alpha=Fraction(1), beta=Fraction(60))
+        assert repr(spec) == "HeightSpec(alpha=Fraction(1, 1), beta=Fraction(60, 1))"
+
     def test_presets(self):
         assert parse_height_spec("cal") == CALIBRATED
         assert parse_height_spec("ncal") == UNCALIBRATED
@@ -90,8 +96,11 @@ class TestSpecParsing:
         assert parse_height_spec("alpha/4:1,beta/27:1") == CALIBRATED
 
     def test_bad_specs(self):
-        for bad in ("", "calx", "alpha/4:1", "alpha/a:b,beta/1:1"):
+        for bad in ("", "calx", "alpha/4:1", "alpha/a:b,beta/1:1", "alpha/1:0,beta/1:1",
+                    "alpha/1,beta/1,gamma/3", "alpha/1:1,alpha/2:1,beta/1:1"):
             with pytest.raises(ValueError):
                 parse_height_spec(bad)
         with pytest.raises(ValueError):
             HeightSpec(Fraction(0), Fraction(1))
+        with pytest.raises(ValueError):
+            HeightSpec(1, -1)

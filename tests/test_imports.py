@@ -1,6 +1,6 @@
-"""Start-up imports: the exact subcommands load neither mpmath nor the
-census process pool, and the package resolves its public names on first
-use."""
+"""Start-up imports: the exact subcommands load neither mpmath, the census
+process pool nor ``dataclasses`` and ``inspect`` (every record is a
+NamedTuple), and the package resolves its public names on first use."""
 
 import importlib
 import json
@@ -13,7 +13,8 @@ import pytest
 import nhc
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nhc.__file__)))
-HEAVY = ("mpmath", "concurrent.futures", "multiprocessing", "nhc.asymptotics", "nhc.oracle")
+HEAVY = ("mpmath", "concurrent.futures", "multiprocessing", "nhc.asymptotics", "nhc.oracle",
+         "dataclasses", "inspect")
 
 # Runs one command in a fresh interpreter, then prints its exit code and
 # the heavy modules it left in sys.modules.
