@@ -12,13 +12,16 @@ Exit codes: 0 success, 2 malformed flags (``verify`` also exits 2 when
 NHC_ORACLE_CAP is not a non-negative integer), 3 a j of 0 or 1728 was
 forced down the generic fixed-j path, 4 singular curve input, 5 verify
 mismatch, 6 scan, sieve, factoring or row budget exceeded (``parametrize``
-lists at most 10^6 curves).  Bounds accept integers, scientific notation
-(parsed exactly: 1e25 is the integer 10^25), and rationals "p/q".
-j-invariants accept rationals or CM aliases "cm:<disc>[:<conductor>]".
-A numerator, denominator or height weight of more than 250 digits (an
-exponent eN counts as N digits) is a malformed flag.  csv and json are
-written row by row; only the table format holds every row, for its
-column widths.
+lists at most 10^6 curves), 141 the reader closed the output pipe early,
+as ``| head`` does (nothing is printed).  Bounds accept integers,
+scientific notation (parsed exactly: 1e25 is the integer 10^25), and
+rationals "p/q".  j-invariants accept rationals or CM aliases
+"cm:<disc>[:<conductor>]".  A numerator, denominator, height weight or
+``twist`` coefficient of more than 250 digits (an exponent eN counts as N
+digits) is a malformed flag.  ``tables --bounds`` sets the rows of
+cm-counts and relative-error; cm-minimal and coefficients refuse it on
+exit 2.  csv and json are written row by row; only the table format holds
+every row, for its column widths.
 
 mpmath (``asymptotics``) and the census pool (``oracle``) are imported only
 by the commands that use them, so the exact commands start without them.
@@ -78,6 +81,14 @@ def _parse_height(text: str) -> HeightSpec:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _parse_coefficient(text: str) -> int:
+    _check_digits(text)
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+
+
 def _parse_workers(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {text!r}")
@@ -106,12 +117,9 @@ def _parse_j_list(text: str) -> list[Fraction]:
 
 
 def _fmt(value) -> str:
-    """One cell as text (rationals as p/q, high-precision floats trimmed)."""
+    """One cell as text (rationals as p/q)."""
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else str(value)
-    mpmath = sys.modules.get("mpmath")  # not loaded: no value is an mpf
-    if mpmath is not None and isinstance(value, mpmath.mpf):
-        return mpmath.nstr(value, 12)
     return str(value)
 
 
@@ -121,13 +129,6 @@ def _json_cell(value, as_string: bool):
     if isinstance(value, int):
         # arbitrary-precision integers above float precision become strings
         return str(value) if as_string or abs(value) > 2**53 else value
-    if isinstance(value, Fraction):
-        return str(value)
-    mpmath = sys.modules.get("mpmath")
-    if mpmath is not None and isinstance(value, mpmath.mpf):
-        return float(value)
-    if isinstance(value, float):
-        return value
     return str(value)
 
 
@@ -289,7 +290,7 @@ def _table_coefficients(spec: HeightSpec):
     return ["d_K", "f", "j", "coefficient"], rows, {"j"}
 
 
-def _table_relative_error(spec: HeightSpec):
+def _table_relative_error(spec: HeightSpec, bounds):
     from . import asymptotics
 
     rows = [
@@ -299,13 +300,17 @@ def _table_relative_error(spec: HeightSpec):
             "approximation": f"{r.approximation:.2f}",
             "relative_error": asymptotics.format_percent(r.relative_error),
         }
-        for r in asymptotics.error_table(spec)
+        for r in asymptotics.error_table(spec, bounds or asymptotics.DEFAULT_ERROR_BOUNDS)
     ]
     return ["X", "exact", "approximation", "relative_error"], rows, set()
 
 
 def cmd_tables(args) -> int:
     spec = args.height
+    if args.bounds and args.name in ("cm-minimal", "coefficients"):
+        print(f"error: --bounds applies to cm-counts and relative-error, not {args.name}",
+              file=sys.stderr)
+        return 2
     if args.name == "cm-minimal":
         headers, rows, strcols = _table_cm_minimal(spec)
     elif args.name == "cm-counts":
@@ -313,7 +318,7 @@ def cmd_tables(args) -> int:
     elif args.name == "coefficients":
         headers, rows, strcols = _table_coefficients(spec)
     else:  # relative-error
-        headers, rows, strcols = _table_relative_error(spec)
+        headers, rows, strcols = _table_relative_error(spec, args.bounds)
     _emit(args, headers, rows, strcols)
     return 0
 
@@ -392,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_parametrize)
 
     p = sub.add_parser("twist", help="decompose a curve as d * representative")
-    p.add_argument("A", type=int)
-    p.add_argument("B", type=int)
+    p.add_argument("A", type=_parse_coefficient)
+    p.add_argument("B", type=_parse_coefficient)
     p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("tables", help="emit a reference table")
@@ -401,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     add_common(p, bound=False)
     p.add_argument("--bounds", type=lambda s: [_parse_bound(t) for t in s.split(",")],
-                   help="comma-separated cutoffs for cm-counts")
+                   help="comma-separated cutoffs for cm-counts and relative-error")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_tables)
@@ -431,7 +436,14 @@ def main(argv=None) -> int:
         if args.workers is None:
             args.workers = os.cpu_count() or 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader left (as `| head` does): exit as SIGPIPE would, with
+        # stdout on devnull so the flush at shutdown is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SpecialJError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -4,7 +4,9 @@
 classifies each point from the definitions only.  (A, B) is singular iff
 4A^3 + 27B^2 = 0.  It is a twist iff some prime p has p^4 | A and p^6 | B:
 the column's spoilers are the p^6 with p^4 | A, and a point is a
-representative iff no spoiler divides B.  It has invariant
+representative iff no spoiler divides B.
+
+The per-j counts come from a separate column scan.  (A, B) has invariant
 j = j_num / j_den iff
 
     27 j_num B^2 = (6912 j_den - 4 j_num) A^3,
@@ -12,19 +14,22 @@ j = j_num / j_den iff
 the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied.  For j = 0
 that is the A = 0 column; for any other j a column holds at most the two
 B = +-sqrt(...), found by one integer square root.  Every candidate is
-confirmed against the definition before it is counted.  None of the
-counting formulas being verified enter the scan.
+confirmed against the definition, and its representative test is the
+spoiler test of the box scan.  None of the counting formulas being
+verified enter either scan.
 
-The scan is embarrassingly parallel over stripes of the A-range, and the
-merge is plain integer addition, so the result is identical for any stripe
-count or worker count.  Scans are refused above a lattice-point budget
-(override with the NHC_ORACLE_CAP environment variable).
+The box scan is embarrassingly parallel over stripes of the A-range, and
+the merge is plain integer addition, so the result is identical for any
+stripe count or worker count.  Scans are refused above a lattice-point
+budget (override with the NHC_ORACLE_CAP environment variable).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import NamedTuple
@@ -52,103 +57,10 @@ class CensusResult(NamedTuple):
     total_representatives: int
     singular_points: int
     per_j: dict[Fraction, tuple[int, int]]  # j -> (curves, representatives)
-    curves_by_j: dict[Fraction, list[tuple[int, int]]] | None = None
 
 
-def _spoilers(a: int, by: int) -> list[int]:
-    """The p^6 for each prime p with p^4 | A: (A, B) is a twist iff one of
-    them divides B.  Every p^4 divides A = 0, and there only the p^6 <= by
-    can divide a nonzero B of the stripe."""
-    out = []
-    for p in _small_primes():
-        if (p**4 > abs(a)) if a else (p**6 > by):
-            break
-        if a % p**4 == 0:
-            out.append(p**6)
-    return out
-
-
-def _scan_stripe(args: tuple) -> dict:
-    """Scan A in [a_lo, a_hi] x B in [-by, by]; returns partial tallies.
-
-    ``tracked`` holds the (j_num, j_den) pair of each requested j.
-    """
-    a_lo, a_hi, by, tracked, collect = args
-    singular = elliptic = reps = 0
-    jt = {key: [0, 0] for key in tracked}
-    jcurves: dict[tuple[int, int], list[tuple[int, int]]] = {key: [] for key in tracked}
-    b27 = [27 * b * b for b in range(-by, by + 1)]
-
-    for A in range(a_lo, a_hi + 1):
-        a3 = A * A * A
-        four_a3 = 4 * a3
-        spoilers = _spoilers(A, by)
-
-        def is_rep(B: int) -> bool:  # the twist definition, for this column
-            return all(B % q for q in spoilers)
-
-        sing_col = b27.count(-four_a3)
-        ell_col = len(b27) - sing_col
-        # with no spoiler every elliptic point of the column is a rep
-        rep_col = ell_col
-        if spoilers:
-            rep_col = sum(
-                1 for B, w in zip(range(-by, by + 1), b27) if four_a3 + w and is_rep(B)
-            )
-        singular += sing_col
-        elliptic += ell_col
-        reps += rep_col
-
-        # per-j candidates solve 27 j_num B^2 = (6912 j_den - 4 j_num) A^3:
-        # for j = 0 that is the A = 0 column, otherwise one square root
-        for key in tracked:
-            j_num, j_den = key
-            if j_num == 0:
-                candidates = range(-by, by + 1) if A == 0 else ()
-            else:
-                b2, r = divmod((6912 * j_den - 4 * j_num) * a3, 27 * j_num)
-                if r or b2 < 0:
-                    continue
-                root = math.isqrt(b2)
-                if root * root != b2 or root > by:
-                    continue
-                candidates = {root, -root}
-            for B in candidates:
-                s = four_a3 + 27 * B * B
-                # confirm against j = 6912 A^3 / s, cross-multiplied
-                if s == 0 or j_num * s != 6912 * j_den * a3:
-                    continue
-                jt[key][0] += 1
-                jt[key][1] += is_rep(B)
-                if collect:
-                    jcurves[key].append((A, B))
-
-    return {
-        "singular": singular,
-        "elliptic": elliptic,
-        "reps": reps,
-        "per_j": {k: tuple(v) for k, v in jt.items()},
-        "curves": jcurves if collect else None,
-    }
-
-
-def brute_census(
-    spec: HeightSpec,
-    bound: int | Fraction,
-    tracked_j=(),
-    *,
-    collect_curves: bool = False,
-    stripes: int = 1,
-    workers: int = 1,
-) -> CensusResult:
-    """Exhaustively classify every lattice point of the height box.
-
-    Counts singular points, elliptic curves, and representatives, plus
-    (curves, representatives) per tracked j-invariant; with
-    ``collect_curves`` the per-j curve lists are kept as well.  The box is
-    cut into ``stripes`` A-ranges, scanned by a pool of at most
-    min(workers, os.cpu_count()) processes when workers > 1.
-    """
+def _box_within_budget(spec: HeightSpec, bound: int | Fraction) -> HeightBox:
+    """The height box; ScanBudgetError when it holds too many points."""
     b = box(spec, bound)
     npoints = (2 * b.x_bound + 1) * (2 * b.y_bound + 1)
     budget = scan_budget()
@@ -157,48 +69,118 @@ def brute_census(
             f"scan of {npoints} lattice points exceeds the budget of {budget}; "
             "raise NHC_ORACLE_CAP to override"
         )
-    # (j_num, j_den) per distinct j: a repeated j is tallied once
-    tracked = list(dict.fromkeys((j.numerator, j.denominator) for j in map(Fraction, tracked_j)))
-    stripes = max(1, stripes)
+    return b
+
+
+@functools.lru_cache(maxsize=1)  # a j = 0 tally asks for the A = 0 column at every B
+def _spoilers(a: int, by: int) -> tuple[int, ...]:
+    """The p^6 for each prime p with p^4 | A: (A, B) is a twist iff one of
+    them divides B.  Every p^4 divides A = 0, and there only the p^6 <= by
+    can divide a nonzero B with |B| <= by."""
+    out = []
+    for p in _small_primes():
+        if (p**4 > abs(a)) if a else (p**6 > by):
+            break
+        if a % p**4 == 0:
+            out.append(p**6)
+    return tuple(out)
+
+
+def _is_rep(b: int, spoilers: tuple[int, ...]) -> bool:
+    """The twist definition: (A, B) is a representative iff no spoiler of
+    column A divides B."""
+    return all(b % q for q in spoilers)
+
+
+def _scan_stripe(args: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(singular, elliptic, representatives) over A in [a_lo, a_hi] x B in
+    [-by, by]."""
+    a_lo, a_hi, by = args
+    singular = elliptic = reps = 0
+    bs = range(-by, by + 1)
+    b27 = [27 * b * b for b in bs]
+    for a in range(a_lo, a_hi + 1):
+        four_a3 = 4 * a**3
+        sing_col = b27.count(-four_a3)
+        singular += sing_col
+        elliptic += len(b27) - sing_col
+        spoilers = _spoilers(a, by)
+        if spoilers:
+            reps += sum(1 for b, w in zip(bs, b27) if four_a3 + w and _is_rep(b, spoilers))
+        else:  # every elliptic point of the column is a representative
+            reps += len(b27) - sing_col
+    return singular, elliptic, reps
+
+
+def _curves_with_j(j: Fraction, b: HeightBox) -> Iterator[tuple[int, int]]:
+    """Every elliptic (A, B) of the box with invariant j, in sorted order.
+
+    The candidates solve 27 j_num B^2 = (6912 j_den - 4 j_num) A^3: for
+    j = 0 that is the A = 0 column, otherwise one square root per column.
+    """
+    j_num, j_den = j.numerator, j.denominator
+    yb = b.y_bound
+    for a in (0,) if j_num == 0 else range(-b.x_bound, b.x_bound + 1):
+        a3 = a**3
+        if j_num == 0:
+            candidates = range(-yb, yb + 1)
+        else:
+            b2, r = divmod((6912 * j_den - 4 * j_num) * a3, 27 * j_num)
+            root = math.isqrt(max(b2, 0))
+            if r or root * root != b2 or root > yb:
+                continue
+            candidates = (-root, root) if root else (0,)
+        for bb in candidates:
+            s = 4 * a3 + 27 * bb * bb
+            # confirm against j = 6912 A^3 / s, cross-multiplied
+            if s and j_num * s == 6912 * j_den * a3:
+                yield a, bb
+
+
+def _tally_j(j: Fraction, b: HeightBox) -> tuple[int, int]:
+    """(curves, representatives) with invariant j in the box."""
+    curves = reps = 0
+    for a, bb in _curves_with_j(j, b):  # counted as they come: j = 0 is a whole column
+        curves += 1
+        reps += _is_rep(bb, _spoilers(a, b.y_bound))
+    return curves, reps
+
+
+def brute_census(
+    spec: HeightSpec,
+    bound: int | Fraction,
+    tracked_j=(),
+    *,
+    stripes: int = 1,
+    workers: int = 1,
+) -> CensusResult:
+    """Exhaustively classify every lattice point of the height box.
+
+    Counts singular points, elliptic curves, and representatives, plus
+    (curves, representatives) per tracked j-invariant from a column scan.
+    The box is cut into ``stripes`` A-ranges, scanned by a pool of at most
+    min(workers, os.cpu_count()) processes when workers > 1.
+    """
+    b = _box_within_budget(spec, bound)
     width = 2 * b.x_bound + 1
-    stripes = min(stripes, width)
+    stripes = min(max(1, stripes), width)
     cuts = [-b.x_bound + (width * i) // stripes for i in range(stripes + 1)]
-    jobs = [
-        (cuts[i], cuts[i + 1] - 1, b.y_bound, tracked, collect_curves)
-        for i in range(stripes)
-    ]
+    jobs = [(cuts[i], cuts[i + 1] - 1, b.y_bound) for i in range(stripes)]
 
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_scan_stripe, jobs))
     else:
         parts = [_scan_stripe(job) for job in jobs]
-
-    per_j: dict[Fraction, tuple[int, int]] = {}
-    curves: dict[Fraction, list[tuple[int, int]]] | None = {} if collect_curves else None
-    singular = elliptic = reps = 0
-    for key in tracked:
-        j = Fraction(*key)
-        tilde = sum(p["per_j"][key][0] for p in parts)
-        rep = sum(p["per_j"][key][1] for p in parts)
-        per_j[j] = (tilde, rep)
-        if collect_curves:
-            merged: list[tuple[int, int]] = []
-            for p in parts:
-                merged.extend(p["curves"][key])
-            curves[j] = sorted(merged)
-    for p in parts:
-        singular += p["singular"]
-        elliptic += p["elliptic"]
-        reps += p["reps"]
+    singular, elliptic, reps = map(sum, zip(*parts))
 
     return CensusResult(
         box=b,
         total_elliptic=elliptic,
         total_representatives=reps,
         singular_points=singular,
-        per_j=per_j,
-        curves_by_j=curves,
+        # a repeated j is scanned once
+        per_j={j: _tally_j(j, b) for j in dict.fromkeys(map(Fraction, tracked_j))},
     )
 
 
@@ -211,8 +193,7 @@ def brute_minimal(
     the height, or None when the family has no curve below the cap.
     Verification counterpart of ``families.minimal_curves``.
     """
-    census = brute_census(spec, cap, tracked_j=(j,), collect_curves=True)
-    matches = census.curves_by_j[Fraction(j)]
+    matches = list(_curves_with_j(Fraction(j), _box_within_budget(spec, cap)))
     if not matches:
         return None
     best = min(height(spec, c) for c in matches)

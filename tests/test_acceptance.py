@@ -34,8 +34,8 @@ from nhc.families import (
     minimal_curves,
     param_bound,
 )
-from nhc.heights import CALIBRATED, UNCALIBRATED
-from nhc.oracle import brute_census
+from nhc.heights import CALIBRATED, UNCALIBRATED, box
+from nhc.oracle import _curves_with_j, brute_census
 
 from arith_reference import is_kfree, ord_p
 
@@ -241,12 +241,12 @@ def test_criterion_8_oracle_equivalence():
 
 def test_criterion_9_parametrization_completeness():
     for j in CM_J:
-        census = brute_census(CALIBRATED, 10**6, tracked_j=[j], collect_curves=True)
+        curves = set(_curves_with_j(Fraction(j), box(CALIBRATED, 10**6)))
         bound = param_bound(j, CALIBRATED, 10**6)
         parametrized = {
             tuple(curve_from_parameter(j, m)) for m in range(-bound, bound + 1) if m
         }
-        assert parametrized == set(census.curves_by_j[Fraction(j)]), j
+        assert parametrized == curves, j
         # representative membership: k-free parameter (k = 2 generically,
         # 6 and 4 for the degenerate invariants 0 and 1728)
         k = 6 if j == 0 else 4 if j == 1728 else 2

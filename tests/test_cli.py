@@ -3,6 +3,9 @@ documented exit codes and formats."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -221,6 +224,17 @@ class TestTwist:
         assert code == 4
         assert "singular" in err
 
+    @pytest.mark.parametrize("a, b", [("7" * 251, "1"), ("1", "-" + "9" * 1000)], ids=["A", "B"])
+    def test_oversized_coefficient_exits_2_at_once(self, capsys, a, b):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["twist", "--", a, b])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error:" in line] == err[-1:]
+        assert "more than 250 digits" in err[-1]
+
 
 class TestTables:
     def test_cm_counts_values(self, capsys):
@@ -267,6 +281,20 @@ class TestTables:
         assert "1000,24,27.26," in lines[3]
         assert lines[-1] == "27000000000,65732,65722.95,0.014%"
 
+    def test_relative_error_custom_bounds(self, capsys):
+        code, out, _ = run(capsys, "tables", "--name", "relative-error", "--bounds", "1e3,1e6",
+                           "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == "X,exact,approximation,relative_error"
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1000", "1000000"]
+        assert out.splitlines()[1].startswith("1000,24,27.26,")
+
+    @pytest.mark.parametrize("name", ["cm-minimal", "coefficients"])
+    def test_bounds_refused_where_unused(self, capsys, name):
+        code, out, err = run(capsys, "tables", "--name", name, "--bounds", "1e3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --bounds") and len(err.splitlines()) == 1
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "coeffs.json"
         code, out, _ = run(capsys, "tables", "--name", "coefficients", "--format", "json",
@@ -282,6 +310,29 @@ class TestTables:
         with pytest.raises(SystemExit) as exc:
             cli.main(["tables", "--name", "bogus"])
         assert exc.value.code == 2
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("argv, lines_read", [
+        # more than a pipe buffer (64 KB) of csv: a write fails mid-listing
+        (["parametrize", "--j", "0", "--bound", "1e9", "--format", "csv"], 1),
+        # one short line, still buffered when the command returns: the flush fails
+        (["twist", "--", "-240", "1408"], 0),
+    ], ids=["write", "flush"])
+    def test_closed_pipe_exits_141_quietly(self, argv, lines_read):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nhc.cli", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        )
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestVerify:
@@ -441,6 +492,7 @@ class TestFuzz:
         ["count", "--family=all", "--height=alpha/1" + "0" * 300 + ":1,beta/1:1", "--bound=10"],
         ["count", "--family=j", "--j=cm:-3:2:junk", "--bound=10"],
         ["verify", "--j=54000,cm:-3:2:9", "--bound=10"],
+        ["twist", "--", "-" + "3" * 1000, "2"],
     ])
     def test_malformed_flag_exits_2_at_once(self, argv):
         err = io.StringIO()

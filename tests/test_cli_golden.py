@@ -58,6 +58,13 @@ def matrix() -> list[list[str]]:
                 out.append(["verify", "--workers", "1", "--height", spec, "--bound", bound, *js])
     for family in ("rep", "cm-rep"):  # oversized Moebius sieves are refused
         out.append(["count", "--family", family, "--bound", "1e200"])
+    # later additions go below, so the records above stay as first recorded
+    out.append(["twist", "--", "7" * 251, "1"])
+    for spec, fmt in (("cal", "table"), ("ncal", "json")):
+        out.append(["tables", "--name", "relative-error", "--height", spec, "--format", fmt,
+                    "--bounds", "1e3,7/2"])
+    for name in ("cm-minimal", "coefficients"):
+        out.append(["tables", "--name", name, "--bounds", "1e3"])
     return out
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from nhc import families
 from nhc.asymptotics import fixed_j_coefficient, main_term_representatives_with_j
+from nhc.cm import CM_ORDERS
 from nhc.cuspidal import cubic_param
 from nhc.exactarith import floor_rational_root, moebius_sieve
 from nhc.families import (
@@ -38,7 +39,7 @@ from nhc.families import (
     twist_decompose,
 )
 from nhc.heights import CALIBRATED, UNCALIBRATED, HeightBox, HeightSpec, box, height
-from nhc.oracle import brute_census
+from nhc.oracle import _curves_with_j, _tally_j, brute_census
 
 from arith_reference import is_kfree, ord_p
 
@@ -298,14 +299,35 @@ class TestFixedJCounts:
 
     def test_completeness_against_census(self):
         for j in (Fraction(-3375), Fraction(54000), Fraction(-32768)):
-            census = brute_census(CALIBRATED, 10**6, tracked_j=[j], collect_curves=True)
+            curves = set(_curves_with_j(j, box(CALIBRATED, 10**6)))
             bound = param_bound(j, CALIBRATED, 10**6)
             parametrized = {
                 tuple(curve_from_parameter(j, m))
                 for m in range(-bound, bound + 1)
                 if m != 0
             }
-            assert parametrized == set(census.curves_by_j[j])
+            assert parametrized == curves
+
+    @pytest.mark.parametrize("spec", [CALIBRATED, UNCALIBRATED], ids=["cal", "ncal"])
+    def test_against_column_scan_at_1e12(self, spec):
+        # 100 times the census budget: the column scan takes one square root
+        # per A.  The rational j come from points of a small box, so each
+        # family has curves below 1e12.
+        rng = random.Random(8)
+        small = box(spec, 10**6)
+        js = [Fraction(o.j) for o in CM_ORDERS if o.j]
+        while len(js) < 16:
+            a = rng.randint(1, small.x_bound) * rng.choice((-1, 1))
+            b = rng.randint(1, small.y_bound)
+            if 4 * a**3 + 27 * b**2:
+                js.append(Fraction(6912 * a**3, 4 * a**3 + 27 * b**2))
+        scanned = {j: _tally_j(j, box(spec, 10**12)) for j in js}
+        for j, counts in scanned.items():
+            assert counts == (
+                count_curves_with_j(j, spec, 10**12),
+                count_representatives_with_j(j, spec, 10**12),
+            ), j
+        assert all(scanned[j][0] for j in js[12:])
 
 
 class TestGlobalCounts:

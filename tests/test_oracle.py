@@ -32,14 +32,14 @@ class TestCensus:
         assert c.per_j[Fraction(0)] == (2, 2)  # y^2 = x^3 +- 1
 
     def test_repeated_j_counted_once(self):
-        c = brute_census(CALIBRATED, 27, tracked_j=[0, Fraction(0), 0], collect_curves=True)
+        c = brute_census(CALIBRATED, 27, tracked_j=[0, Fraction(0), 0])
         assert c.per_j == {Fraction(0): (2, 2)}
-        assert c.curves_by_j == {Fraction(0): [(0, -1), (0, 1)]}
+        assert list(oracle._curves_with_j(Fraction(0), c.box)) == [(0, -1), (0, 1)]
 
     def test_per_j_with_collection(self):
-        c = brute_census(CALIBRATED, 10**6, tracked_j=[-3375], collect_curves=True)
+        c = brute_census(CALIBRATED, 10**6, tracked_j=[-3375])
         assert c.per_j[Fraction(-3375)] == (2, 2)
-        assert c.curves_by_j[Fraction(-3375)] == [(-35, -98), (-35, 98)]
+        assert list(oracle._curves_with_j(Fraction(-3375), c.box)) == [(-35, -98), (-35, 98)]
 
     def test_fractional_j_tracking(self):
         j = Fraction(20, 3)
@@ -172,12 +172,13 @@ class TestCensusAgainstDefinitions:
                    *_random_j(spec, bound, seed=bound, n=4))
         tracked = tuple(dict.fromkeys(tracked))
         want = _reference_census(spec, bound, tracked)
-        got = brute_census(spec, bound, tracked_j=tracked, collect_curves=True, stripes=stripes)
+        got = brute_census(spec, bound, tracked_j=tracked, stripes=stripes)
         assert got.singular_points == want["singular_points"]
         assert got.total_elliptic == want["total_elliptic"]
         assert got.total_representatives == want["total_representatives"]
         assert got.per_j == want["per_j"]
-        assert got.curves_by_j == want["curves_by_j"]
+        curves = {j: list(oracle._curves_with_j(j, got.box)) for j in tracked}
+        assert curves == want["curves_by_j"]
         assert want["per_j"][Fraction(-3375)][0] and all(want["per_j"][j][0] for j in tracked[4:])
 
 
