@@ -163,10 +163,14 @@ class TestCensusAgainstDefinitions:
         (UNCALIBRATED, 5 * 10**4),
         (HeightSpec(Fraction(1, 100), Fraction(1)), 10**4),
         (HeightSpec(Fraction(3, 2), Fraction(5, 7)), 7 * 10**4),
+        # by = 729: the A = 0 column has two spoilers, 2^6 and 3^6
+        (HeightSpec(Fraction(531441, 42875), Fraction(1)), 531441),
     ]
 
     @pytest.mark.parametrize("stripes", [1, 3])
-    @pytest.mark.parametrize("spec, bound", CASES, ids=["cal", "ncal", "1/100,1", "3/2,5/7"])
+    @pytest.mark.parametrize(
+        "spec, bound", CASES, ids=["cal", "ncal", "1/100,1", "3/2,5/7", "531441/42875,1"]
+    )
     def test_matches_reference_loop(self, spec, bound, stripes):
         tracked = (Fraction(0), Fraction(1728), Fraction(-3375), Fraction(20, 3),
                    *_random_j(spec, bound, seed=bound, n=4))
