@@ -1,10 +1,11 @@
 """Brute-force lattice census: the ground truth for every exact formula.
 
-``brute_census`` walks every integer pair (A, B) in the height box and
-classifies each point from the definitions only.  (A, B) is singular iff
-4A^3 + 27B^2 = 0.  It is a twist iff some prime p has p^4 | A and p^6 | B:
-the column's spoilers are the p^6 with p^4 | A, and a point is a
-representative iff no spoiler divides B.
+``brute_census`` counts the integer pairs (A, B) of the height box column
+by column, from the definitions only.  (A, B) is singular iff
+4A^3 + 27B^2 = 0.  It is a twist iff some prime p has p^4 | A and p^6 | B,
+so the twists of column A are one set: the B that are multiples of a p^6
+with p^4 | A.  A column's representatives are its elliptic points less
+the elliptic B of that set.
 
 The per-j counts come from a separate column scan.  (A, B) has invariant
 j = j_num / j_den iff
@@ -14,8 +15,8 @@ j = j_num / j_den iff
 the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied.  For j = 0
 that is the A = 0 column; for any other j a column holds at most the two
 B = +-sqrt(...), found by one integer square root.  Every candidate is
-confirmed against the definition, and its representative test is the
-spoiler test of the box scan.  None of the counting formulas being
+confirmed against the definition, and it is a representative iff B is not
+in the column's set of twists, the set the box scan reads.  None of the counting formulas being
 verified enter either scan.
 
 The box scan is embarrassingly parallel over stripes of the A-range, and
@@ -73,23 +74,19 @@ def _box_within_budget(spec: HeightSpec, bound: int | Fraction) -> HeightBox:
 
 
 @functools.lru_cache(maxsize=1)  # a j = 0 tally asks for the A = 0 column at every B
-def _spoilers(a: int, by: int) -> tuple[int, ...]:
-    """The p^6 for each prime p with p^4 | A: (A, B) is a twist iff one of
-    them divides B.  Every p^4 divides A = 0, and there only the p^6 <= by
-    can divide a nonzero B with |B| <= by."""
-    out = []
+def _twists(a: int, by: int) -> frozenset[int]:
+    """Every B in [-by, by] with (A, B) a twist: the multiples of p^6 for
+    each prime p with p^4 | A (a p^6 > by gives B = 0 alone).  Every p^4
+    divides A = 0, and there only the p^6 <= by are taken: (0, 0) is
+    singular."""
+    out = set()
     for p in _small_primes():
         if (p**4 > abs(a)) if a else (p**6 > by):
             break
         if a % p**4 == 0:
-            out.append(p**6)
-    return tuple(out)
-
-
-def _is_rep(b: int, spoilers: tuple[int, ...]) -> bool:
-    """The twist definition: (A, B) is a representative iff no spoiler of
-    column A divides B."""
-    return all(b % q for q in spoilers)
+            q = p**6
+            out.update(range(-(by // q) * q, by + 1, q))
+    return frozenset(out)
 
 
 def _scan_stripe(args: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -97,18 +94,14 @@ def _scan_stripe(args: tuple[int, int, int]) -> tuple[int, int, int]:
     [-by, by]."""
     a_lo, a_hi, by = args
     singular = elliptic = reps = 0
-    bs = range(-by, by + 1)
-    b27 = [27 * b * b for b in bs]
+    b27 = [27 * b * b for b in range(-by, by + 1)]
     for a in range(a_lo, a_hi + 1):
         four_a3 = 4 * a**3
         sing_col = b27.count(-four_a3)
         singular += sing_col
         elliptic += len(b27) - sing_col
-        spoilers = _spoilers(a, by)
-        if spoilers:
-            reps += sum(1 for b, w in zip(bs, b27) if four_a3 + w and _is_rep(b, spoilers))
-        else:  # every elliptic point of the column is a representative
-            reps += len(b27) - sing_col
+        # the column's elliptic points minus its elliptic twists
+        reps += len(b27) - sing_col - sum(four_a3 + 27 * b * b != 0 for b in _twists(a, by))
     return singular, elliptic, reps
 
 
@@ -142,7 +135,7 @@ def _tally_j(j: Fraction, b: HeightBox) -> tuple[int, int]:
     curves = reps = 0
     for a, bb in _curves_with_j(j, b):  # counted as they come: j = 0 is a whole column
         curves += 1
-        reps += _is_rep(bb, _spoilers(a, b.y_bound))
+        reps += bb not in _twists(a, b.y_bound)
     return curves, reps
 
 
@@ -154,10 +147,12 @@ def brute_census(
     stripes: int = 1,
     workers: int = 1,
 ) -> CensusResult:
-    """Exhaustively classify every lattice point of the height box.
+    """Count every lattice point of the height box, column by column.
 
-    Counts singular points, elliptic curves, and representatives, plus
-    (curves, representatives) per tracked j-invariant from a column scan.
+    Each A column gives its singular points, and its set of twisted B gives
+    its representatives among the elliptic curves.  The column scan of each
+    tracked j-invariant reads the same sets for its (curves,
+    representatives).
     The box is cut into ``stripes`` A-ranges, scanned by a pool of at most
     min(workers, os.cpu_count()) processes when workers > 1.
     """

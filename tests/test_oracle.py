@@ -41,6 +41,12 @@ class TestCensus:
         assert c.per_j[Fraction(-3375)] == (2, 2)
         assert list(oracle._curves_with_j(Fraction(-3375), c.box)) == [(-35, -98), (-35, 98)]
 
+    def test_a0_twists_built_once_per_j0_tally(self):
+        # the j = 0 tally reads the twists of the A = 0 column at every B
+        oracle._twists.cache_clear()
+        assert oracle._tally_j(Fraction(0), box(CALIBRATED, 10**9)) == (12170, 11964)
+        assert oracle._twists.cache_info().misses == 1
+
     def test_fractional_j_tracking(self):
         j = Fraction(20, 3)
         c = brute_census(UNCALIBRATED, 10**4, tracked_j=[j])
