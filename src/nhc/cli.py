@@ -8,20 +8,21 @@ Subcommands:
     tables       emit the CM reference tables (table, csv, or json)
     verify       brute-force census vs. every exact formula
 
-Exit codes: 0 success, 2 malformed flags (``verify`` also exits 2 when
-NHC_ORACLE_CAP is not a non-negative integer), 3 a j of 0 or 1728 was
-forced down the generic fixed-j path, 4 singular curve input, 5 verify
-mismatch, 6 scan, sieve, factoring or row budget exceeded (``parametrize``
-lists at most 10^6 curves), 141 the reader closed the output pipe early,
-as ``| head`` does (nothing is printed).  Bounds accept integers,
-scientific notation (parsed exactly: 1e25 is the integer 10^25), and
-rationals "p/q".  j-invariants accept rationals or CM aliases
-"cm:<disc>[:<conductor>]".  A numerator, denominator, height weight or
-``twist`` coefficient of more than 250 digits (an exponent eN counts as N
-digits) is a malformed flag.  ``tables --bounds`` sets the rows of
-cm-counts and relative-error; cm-minimal and coefficients refuse it on
-exit 2.  csv and json are written row by row; only the table format holds
-every row, for its column widths.
+Exit codes: 0 success, 2 malformed flags or an ``--output`` that cannot be
+opened for writing (``verify`` also exits 2 when NHC_ORACLE_CAP is not a
+non-negative integer), 3 a j of 0 or 1728 was forced down the generic
+fixed-j path, 4 singular curve input, 5 verify mismatch, 6 scan, sieve,
+factoring or row budget exceeded (``parametrize`` lists at most 10^6
+curves), 141 the reader closed the output pipe early, as ``| head`` does
+(nothing is printed).  Bounds accept integers, scientific notation (parsed
+exactly: 1e25 is the integer 10^25), and rationals "p/q".  j-invariants
+accept rationals or CM aliases "cm:<disc>[:<conductor>]".  A numerator,
+denominator, height weight or ``twist`` coefficient of more than 250
+digits (an exponent eN counts as N digits) is a malformed flag.
+``tables --bounds`` sets the rows of cm-counts and relative-error, each
+cutoff once in first-seen order (1e3 and 1000 are one cutoff); cm-minimal
+and coefficients refuse it on exit 2.  csv and json are written row by
+row; only the table format holds every row, for its column widths.
 
 mpmath (``asymptotics``) and the census pool (``oracle``) are imported only
 by the commands that use them, so the exact commands start without them.
@@ -71,6 +72,11 @@ def _parse_bound(text: str) -> Fraction:
     if value <= 0:
         raise argparse.ArgumentTypeError("bound must be positive")
     return value
+
+
+def _parse_bounds(text: str) -> list[Fraction]:
+    # a repeated cutoff is kept once, in first-seen order
+    return list(dict.fromkeys(_parse_bound(tok) for tok in text.split(",")))
 
 
 def _parse_height(text: str) -> HeightSpec:
@@ -132,10 +138,15 @@ def _json_cell(value, as_string: bool):
     return str(value)
 
 
-def _emit(args, headers: list[str], rows: Iterable[dict], string_cols=frozenset()) -> None:
-    """Write the rows; csv and json write each as it comes."""
+def _emit(args, headers: list[str], rows: Iterable[dict], string_cols=frozenset()) -> int:
+    """Write the rows and return the exit code; csv and json write each row
+    as it comes."""
     fmt = getattr(args, "format", "table")
-    out = open(args.output, "w") if getattr(args, "output", None) else sys.stdout
+    try:
+        out = open(args.output, "w") if getattr(args, "output", None) else sys.stdout
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         if fmt == "json":
             # the layout of json.dumps(list_of_rows, indent=2), row by row;
@@ -167,6 +178,7 @@ def _emit(args, headers: list[str], rows: Iterable[dict], string_cols=frozenset(
     finally:
         if out is not sys.stdout:
             out.close()
+    return 0
 
 
 # ---------------------------------------------------------------- count --
@@ -228,8 +240,7 @@ def cmd_parametrize(args) -> int:
                 curve = families.curve_from_parameter(j, m)
                 yield {"m": m, "A": curve.A, "B": curve.B, "height": height(spec, curve)}
 
-    _emit(args, ["m", "A", "B", "height"], rows(), string_cols={"A", "B"})
-    return 0
+    return _emit(args, ["m", "A", "B", "height"], rows(), string_cols={"A", "B"})
 
 
 # ---------------------------------------------------------------- twist --
@@ -319,8 +330,7 @@ def cmd_tables(args) -> int:
         headers, rows, strcols = _table_coefficients(spec)
     else:  # relative-error
         headers, rows, strcols = _table_relative_error(spec, args.bounds)
-    _emit(args, headers, rows, strcols)
-    return 0
+    return _emit(args, headers, rows, strcols)
 
 
 # --------------------------------------------------------------- verify --
@@ -329,11 +339,15 @@ def cmd_tables(args) -> int:
 def cmd_verify(args) -> int:
     from . import oracle
 
+    try:
+        oracle.scan_budget()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     spec, x = args.height, args.bound
     tracked = args.j or []
-    census = oracle.brute_census(
-        spec, x, tracked_j=tracked, stripes=args.workers, workers=args.workers
-    )
+    workers = args.workers or os.cpu_count() or 1
+    census = oracle.brute_census(spec, x, tracked_j=tracked, stripes=workers, workers=workers)
     checks = [
         ("curves", families.count_curves(spec, x), census.total_elliptic),
         ("representatives", families.count_representatives(spec, x), census.total_representatives),
@@ -405,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", choices=["cm-minimal", "cm-counts", "coefficients", "relative-error"],
                    required=True)
     add_common(p, bound=False)
-    p.add_argument("--bounds", type=lambda s: [_parse_bound(t) for t in s.split(",")],
+    p.add_argument("--bounds", type=_parse_bounds,
                    help="comma-separated cutoffs for cm-counts and relative-error")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--output", help="write to a file instead of stdout")
@@ -425,16 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        from . import oracle
-
-        try:
-            oracle.scan_budget()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.workers is None:
-            args.workers = os.cpu_count() or 1
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at shutdown

@@ -306,6 +306,32 @@ class TestTables:
         # 18-digit j-invariants must survive as exact strings
         assert rows[-1]["j"] == "-262537412640768000"
 
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--name", "cm-minimal", "--format", "csv"],
+        ["parametrize", "--j", "0", "--bound", "100"],
+    ], ids=["tables", "parametrize"])
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/x.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-dir", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv, target, reason):
+        path = tmp_path / target
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: {reason}\n"
+
+    def test_repeated_bound_is_one_row(self, capsys):
+        argv = ["tables", "--name", "cm-counts", "--bounds", "1e3,1000,7/2"]
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        assert out.splitlines()[0] == "d_K,f,j,X=1000,X=7/2"
+        _, out, _ = run(capsys, *argv, "--format", "table")
+        assert out.split()[:5] == ["d_K", "f", "j", "X=1000", "X=7/2"]
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert list(json.loads(out)[0]) == ["d_K", "f", "j", "X=1000", "X=7/2"]
+        _, out, _ = run(capsys, "tables", "--name", "relative-error", "--bounds", "1e3,1000,7/2",
+                        "--format", "csv")
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1000", "7/2"]
+
     def test_unknown_table_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["tables", "--name", "bogus"])

@@ -65,6 +65,8 @@ def matrix() -> list[list[str]]:
                     "--bounds", "1e3,7/2"])
     for name in ("cm-minimal", "coefficients"):
         out.append(["tables", "--name", name, "--bounds", "1e3"])
+    for fmt in ("csv", "json"):  # a repeated cutoff is one column
+        out.append(["tables", "--name", "cm-counts", "--format", fmt, "--bounds", "1e3,1000,7/2"])
     return out
 
 
