@@ -19,10 +19,11 @@ exactly: 1e25 is the integer 10^25), and rationals "p/q".  j-invariants
 accept rationals or CM aliases "cm:<disc>[:<conductor>]".  A numerator,
 denominator, height weight or ``twist`` coefficient of more than 250
 digits (an exponent eN counts as N digits) is a malformed flag.
-``tables --bounds`` sets the rows of cm-counts and relative-error, each
-cutoff once in first-seen order (1e3 and 1000 are one cutoff); cm-minimal
-and coefficients refuse it on exit 2.  csv and json are written row by
-row; only the table format holds every row, for its column widths.
+``tables --bounds`` sets the cutoffs of cm-counts (its columns) and
+relative-error (its rows), each once in first-seen order (1e3 and 1000
+are one cutoff); cm-minimal and coefficients refuse it on exit 2.  csv
+and json are written row by row; only the table format holds every row,
+for its column widths.
 
 mpmath (``asymptotics``) and the census pool (``oracle``) are imported only
 by the commands that use them, so the exact commands start without them.

@@ -16,8 +16,8 @@ the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied.  For j = 0
 that is the A = 0 column; for any other j a column holds at most the two
 B = +-sqrt(...), found by one integer square root.  Every candidate is
 confirmed against the definition, and it is a representative iff B is not
-in the column's set of twists, the set the box scan reads.  None of the counting formulas being
-verified enter either scan.
+in the column's set of twists, the set the box scan reads.  None of the
+counting formulas being verified enter either scan.
 
 The box scan is embarrassingly parallel over stripes of the A-range, and
 the merge is plain integer addition, so the result is identical for any
