@@ -25,8 +25,10 @@ are one cutoff); cm-minimal and coefficients refuse it on exit 2.  csv
 and json are written row by row; only the table format holds every row,
 for its column widths.
 
-mpmath (``asymptotics``) and the census pool (``oracle``) are imported only
-by the commands that use them, so the exact commands start without them.
+mpmath (``asymptotics``) and the census (``oracle``) are imported only by
+the commands that use them, so the exact commands start without them.
+``verify`` scans serially; only ``--workers N`` with N > 1 starts the
+census process pool.
 """
 
 from __future__ import annotations
@@ -234,12 +236,15 @@ def cmd_parametrize(args) -> int:
     if listed > _ROW_BUDGET:
         raise ScanBudgetError(f"listing {listed} curves exceeds the budget of {_ROW_BUDGET} rows")
     mu = moebius_sieve(bound) if args.squarefree_only else None
+    least, r = families._least_curve(j)
+    least_height = height(spec, least)
 
     def rows():
         for m in range(-bound, bound + 1):
             if m and (mu is None or mu[abs(m)]):
                 curve = families.curve_from_parameter(j, m)
-                yield {"m": m, "A": curve.A, "B": curve.B, "height": height(spec, curve)}
+                # curve m has height |m|^r H(A_j, B_j)
+                yield {"m": m, "A": curve.A, "B": curve.B, "height": abs(m) ** r * least_height}
 
     return _emit(args, ["m", "A", "B", "height"], rows(), string_cols={"A", "B"})
 
@@ -347,7 +352,7 @@ def cmd_verify(args) -> int:
         return 2
     spec, x = args.height, args.bound
     tracked = args.j or []
-    workers = args.workers or os.cpu_count() or 1
+    workers = args.workers
     census = oracle.brute_census(spec, x, tracked_j=tracked, stripes=workers, workers=workers)
     checks = [
         ("curves", families.count_curves(spec, x), census.total_elliptic),
@@ -430,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--j", type=_parse_j_list,
                    help="comma-separated j-invariants to track ('cm' = all thirteen)")
-    p.add_argument("--workers", type=_parse_workers, default=None,
-                   help="census stripes, scanned by at most one process per core "
-                        "(default: all cores)")
+    p.add_argument("--workers", type=_parse_workers, default=1,
+                   help="census stripes; above 1, scanned by a pool of at most one "
+                        "process per core (default: 1, serial)")
     p.set_defaults(func=cmd_verify)
 
     return parser

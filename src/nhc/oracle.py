@@ -2,22 +2,25 @@
 
 ``brute_census`` counts the integer pairs (A, B) of the height box column
 by column, from the definitions only.  (A, B) is singular iff
-4A^3 + 27B^2 = 0.  It is a twist iff some prime p has p^4 | A and p^6 | B,
-so the twists of column A are one set: the B that are multiples of a p^6
-with p^4 | A.  A column's representatives are its elliptic points less
-the elliptic B of that set.
+27B^2 = -4A^3, so a column holds 0, 1 (A = 0) or 2 singular points,
+found by one integer square root.  It is a twist iff some prime p has
+p^4 | A and p^6 | B, so the twists of column A are one set: the B that
+are multiples of a p^6 with p^4 | A.  A column's representatives are its
+elliptic points less the elliptic B of that set.  The scan costs one
+square root per column and one step per twist, not one per point.
 
 The per-j counts come from a separate column scan.  (A, B) has invariant
 j = j_num / j_den iff
 
     27 j_num B^2 = (6912 j_den - 4 j_num) A^3,
 
-the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied.  For j = 0
-that is the A = 0 column; for any other j a column holds at most the two
-B = +-sqrt(...), found by one integer square root.  Every candidate is
-confirmed against the definition, and it is a representative iff B is not
-in the column's set of twists, the set the box scan reads.  None of the
-counting formulas being verified enter either scan.
+the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied; the
+singular locus is the same equation with j_num = 1 and j_den = 0.  For
+j = 0 it holds on the A = 0 column; for any other j a column holds at
+most the two B = +-sqrt(...), found by the same square root.  Every
+candidate is confirmed against the definition, and it is a representative
+iff B is not in the column's set of twists, the set the box scan reads.
+None of the counting formulas being verified enter either scan.
 
 The box scan is embarrassingly parallel over stripes of the A-range, and
 the merge is plain integer addition, so the result is identical for any
@@ -31,7 +34,6 @@ import functools
 import math
 import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -89,19 +91,32 @@ def _twists(a: int, by: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _roots(c: int, n: int, by: int) -> range | tuple[int, ...]:
+    """Every B in [-by, by] with c B^2 = n, in sorted order: all of them
+    when c = n = 0, otherwise at most B = +-sqrt(n / c), found by one divmod
+    and one integer square root."""
+    if c == 0:
+        return range(-by, by + 1) if n == 0 else ()
+    b2, r = divmod(n, c)
+    root = math.isqrt(max(b2, 0))
+    if r or root * root != b2 or root > by:
+        return ()
+    return (-root, root) if root else (0,)
+
+
 def _scan_stripe(args: tuple[int, int, int]) -> tuple[int, int, int]:
     """(singular, elliptic, representatives) over A in [a_lo, a_hi] x B in
     [-by, by]."""
     a_lo, a_hi, by = args
     singular = elliptic = reps = 0
-    b27 = [27 * b * b for b in range(-by, by + 1)]
     for a in range(a_lo, a_hi + 1):
-        four_a3 = 4 * a**3
-        sing_col = b27.count(-four_a3)
-        singular += sing_col
-        elliptic += len(b27) - sing_col
+        sing = _roots(27, -4 * a**3, by)  # 27 B^2 = -4 A^3
+        twists = _twists(a, by)
+        col = 2 * by + 1 - len(sing)
+        singular += len(sing)
+        elliptic += col
         # the column's elliptic points minus its elliptic twists
-        reps += len(b27) - sing_col - sum(four_a3 + 27 * b * b != 0 for b in _twists(a, by))
+        reps += col - len(twists) + len(twists.intersection(sing))
     return singular, elliptic, reps
 
 
@@ -112,18 +127,9 @@ def _curves_with_j(j: Fraction, b: HeightBox) -> Iterator[tuple[int, int]]:
     j = 0 that is the A = 0 column, otherwise one square root per column.
     """
     j_num, j_den = j.numerator, j.denominator
-    yb = b.y_bound
-    for a in (0,) if j_num == 0 else range(-b.x_bound, b.x_bound + 1):
+    for a in range(-b.x_bound, b.x_bound + 1):
         a3 = a**3
-        if j_num == 0:
-            candidates = range(-yb, yb + 1)
-        else:
-            b2, r = divmod((6912 * j_den - 4 * j_num) * a3, 27 * j_num)
-            root = math.isqrt(max(b2, 0))
-            if r or root * root != b2 or root > yb:
-                continue
-            candidates = (-root, root) if root else (0,)
-        for bb in candidates:
+        for bb in _roots(27 * j_num, (6912 * j_den - 4 * j_num) * a3, b.y_bound):
             s = 4 * a3 + 27 * bb * bb
             # confirm against j = 6912 A^3 / s, cross-multiplied
             if s and j_num * s == 6912 * j_den * a3:
@@ -149,10 +155,10 @@ def brute_census(
 ) -> CensusResult:
     """Count every lattice point of the height box, column by column.
 
-    Each A column gives its singular points, and its set of twisted B gives
-    its representatives among the elliptic curves.  The column scan of each
-    tracked j-invariant reads the same sets for its (curves,
-    representatives).
+    Each A column gives its singular points by one square root, and its set
+    of twisted B gives its representatives among the elliptic curves.  The
+    column scan of each tracked j-invariant reads the same sets for its
+    (curves, representatives).
     The box is cut into ``stripes`` A-ranges, scanned by a pool of at most
     min(workers, os.cpu_count()) processes when workers > 1.
     """
@@ -163,6 +169,8 @@ def brute_census(
     jobs = [(cuts[i], cuts[i + 1] - 1, b.y_bound) for i in range(stripes)]
 
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled census pays for it
+
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_scan_stripe, jobs))
     else:

@@ -1,6 +1,7 @@
 """CLI tests: every command is a thin adapter over the library, with the
 documented exit codes and formats."""
 
+import concurrent.futures
 import io
 import json
 import os
@@ -394,6 +395,15 @@ class TestVerify:
                            "--j", "cm", "--workers", "1")
         assert code == 0
         assert out.count("curves j=") == 13
+
+    def test_default_is_serial(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a default verify started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, out, _ = run(capsys, "verify", "--height", "cal", "--bound", "1e5", "--j", "cm")
+        assert code == 0
+        assert "FAIL" not in out
 
     def test_budget_refusal_exits_6(self, capsys):
         code, _, err = run(capsys, "verify", "--height", "cal", "--bound", "1e12",

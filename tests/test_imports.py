@@ -1,6 +1,7 @@
 """Start-up imports: the exact subcommands load neither mpmath, the census
 process pool nor ``dataclasses`` and ``inspect`` (every record is a
-NamedTuple), and the package resolves its public names on first use."""
+NamedTuple), a default ``verify`` loads the census but no pool, and the
+package resolves its public names on first use."""
 
 import importlib
 import json
@@ -55,6 +56,11 @@ def test_exact_commands_load_no_heavy_module(argv):
 def test_asymptotic_count_loads_asymptotics():
     loaded = heavy_modules_loaded("count", "--family", "rep", "--bound", "1e20", "--asymptotic")
     assert loaded == ["mpmath", "nhc.asymptotics"]
+
+
+def test_default_verify_starts_no_pool():
+    # a serial census needs neither concurrent.futures nor multiprocessing
+    assert heavy_modules_loaded("verify", "--bound", "1e4", "--j", "cm") == ["nhc.oracle"]
 
 
 def test_every_public_name_resolves():

@@ -2,6 +2,7 @@
 a reference double loop over the definitions."""
 
 import ast
+import concurrent.futures
 import functools
 import inspect
 import random
@@ -47,6 +48,15 @@ class TestCensus:
         assert oracle._tally_j(Fraction(0), box(CALIBRATED, 10**9)) == (12170, 11964)
         assert oracle._twists.cache_info().misses == 1
 
+    def test_roots(self):
+        assert oracle._roots(27, -4 * (-3) ** 3, 2) == (-2, 2)  # (-3, +-2) is singular
+        assert oracle._roots(27, -4 * (-3) ** 3, 1) == ()  # ... but past the B edge
+        assert oracle._roots(27, -4 * (-4) ** 3, 8) == ()  # 256 / 27 is no integer
+        assert oracle._roots(27, 0, 5) == (0,)
+        assert oracle._roots(-27, -108, 5) == (-2, 2)
+        assert oracle._roots(0, 0, 2) == range(-2, 3)  # j = 0 on the A = 0 column
+        assert oracle._roots(0, 6912, 2) == ()
+
     def test_fractional_j_tracking(self):
         j = Fraction(20, 3)
         c = brute_census(UNCALIBRATED, 10**4, tracked_j=[j])
@@ -85,7 +95,8 @@ class TestCensus:
                 pools.append(len(jobs))
                 return map(fn, jobs)
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
+        # the pooled branch imports the executor when it runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
         serial = brute_census(UNCALIBRATED, 10**3, tracked_j=[0, 1728, -3375])
         pooled = brute_census(
@@ -173,11 +184,10 @@ class TestCensusAgainstDefinitions:
         (HeightSpec(Fraction(531441, 42875), Fraction(1)), 531441),
     ]
 
-    @pytest.mark.parametrize("stripes", [1, 3])
-    @pytest.mark.parametrize(
-        "spec, bound", CASES, ids=["cal", "ncal", "1/100,1", "3/2,5/7", "531441/42875,1"]
-    )
-    def test_matches_reference_loop(self, spec, bound, stripes):
+    @staticmethod
+    def check(spec, bound, stripes) -> dict:
+        """Assert that the census equals the reference loop; return the
+        reference counts."""
         tracked = (Fraction(0), Fraction(1728), Fraction(-3375), Fraction(20, 3),
                    *_random_j(spec, bound, seed=bound, n=4))
         tracked = tuple(dict.fromkeys(tracked))
@@ -189,7 +199,35 @@ class TestCensusAgainstDefinitions:
         assert got.per_j == want["per_j"]
         curves = {j: list(oracle._curves_with_j(j, got.box)) for j in tracked}
         assert curves == want["curves_by_j"]
-        assert want["per_j"][Fraction(-3375)][0] and all(want["per_j"][j][0] for j in tracked[4:])
+        assert all(want["per_j"][j][0] for j in tracked[4:])
+        return want
+
+    @pytest.mark.parametrize("stripes", [1, 3])
+    @pytest.mark.parametrize(
+        "spec, bound", CASES, ids=["cal", "ncal", "1/100,1", "3/2,5/7", "531441/42875,1"]
+    )
+    def test_matches_reference_loop(self, spec, bound, stripes):
+        assert self.check(spec, bound, stripes)["per_j"][Fraction(-3375)][0]
+
+    # Boxes for the singular solve 27 B^2 = -4 A^3, whose points are
+    # (-3m^2, +-2m^3).
+    SINGULAR_CASES = [
+        # xb = 66, yb = 54 = 2 * 3^3: (-27, +-54) lies on the B edge
+        (HeightSpec(Fraction(1, 100), Fraction(1)), 2916, 7),
+        # xb = 500, yb = 10: 50 times as many columns as rows; the columns
+        # A = -3m^2 with m >= 2 have their roots 2m^3 past the B edge
+        (HeightSpec(Fraction(1, 1250000), Fraction(1)), 100, 3),
+        # xb = 4, yb = 8: at A = -4, -4A^3 = 256 = 16^2 is not a multiple
+        # of 27, yet floor(256 / 27) = 9 = 3^2 and B = +-3 is in the box
+        (UNCALIBRATED, 64, 3),
+    ]
+
+    @pytest.mark.parametrize("stripes", [1, 3])
+    @pytest.mark.parametrize(
+        "spec, bound, singular", SINGULAR_CASES, ids=["B-edge", "skewed", "A=-4"]
+    )
+    def test_singular_solve_matches_reference_loop(self, spec, bound, singular, stripes):
+        assert self.check(spec, bound, stripes)["singular_points"] == singular
 
 
 class TestBudget:
