@@ -352,8 +352,8 @@ def cmd_verify(args) -> int:
         return 2
     spec, x = args.height, args.bound
     tracked = args.j or []
-    workers = args.workers
-    census = oracle.brute_census(spec, x, tracked_j=tracked, stripes=workers, workers=workers)
+    census = oracle.brute_census(spec, x, tracked_j=tracked, stripes=args.workers,
+                                 workers=args.workers)
     checks = [
         ("curves", families.count_curves(spec, x), census.total_elliptic),
         ("representatives", families.count_representatives(spec, x), census.total_representatives),

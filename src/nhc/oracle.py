@@ -1,13 +1,12 @@
 """Brute-force lattice census: the ground truth for every exact formula.
 
 ``brute_census`` counts the integer pairs (A, B) of the height box column
-by column, from the definitions only.  (A, B) is singular iff
-27B^2 = -4A^3, so a column holds 0, 1 (A = 0) or 2 singular points,
-found by one integer square root.  It is a twist iff some prime p has
-p^4 | A and p^6 | B, so the twists of column A are one set: the B that
-are multiples of a p^6 with p^4 | A.  A column's representatives are its
-elliptic points less the elliptic B of that set.  The scan costs one
-square root per column and one step per twist, not one per point.
+by column, from the definitions only, at one integer square root per
+column and one step per twist.  (A, B) is singular iff 27B^2 = -4A^3, so a
+column holds 0, 1 (A = 0) or 2 singular points.  It is a twist iff some
+prime p has p^4 | A and p^6 | B, so the twists of column A are one set:
+the B that are multiples of a p^6 with p^4 | A.  A column's
+representatives are its elliptic points less the elliptic B of that set.
 
 The per-j counts come from a separate column scan.  (A, B) has invariant
 j = j_num / j_den iff
