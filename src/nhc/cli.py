@@ -127,18 +127,15 @@ def _parse_j_list(text: str) -> list[Fraction]:
 
 def _fmt(value) -> str:
     """One cell as text (rationals as p/q)."""
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else str(value)
-    return str(value)
+    return str(value.numerator if getattr(value, "denominator", None) == 1 else value)
 
 
-def _json_cell(value, as_string: bool):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        value = int(value)
-    if isinstance(value, int):
-        # arbitrary-precision integers above float precision become strings
-        return str(value) if as_string or abs(value) > 2**53 else value
-    return str(value)
+def _json_cell(value, as_string: bool) -> str:
+    """One cell as JSON text; integers in string columns or above 2^53 are quoted."""
+    if getattr(value, "denominator", None) == 1:  # an int, or a Fraction that is one
+        value = value.numerator
+        return f'"{value}"' if as_string or abs(value) > 2**53 else str(value)
+    return json.dumps(str(value))
 
 
 def _emit(args, headers: list[str], rows: Iterable[dict], string_cols=frozenset()) -> int:
@@ -158,7 +155,7 @@ def _emit(args, headers: list[str], rows: Iterable[dict], string_cols=frozenset(
             first = True
             for row in rows:
                 cells = ",\n".join(
-                    key + json.dumps(_json_cell(row[h], h in string_cols))
+                    key + _json_cell(row[h], h in string_cols)
                     for h, key in keys.items()
                 )
                 out.write(("[\n" if first else ",\n") + "  {\n" + cells + "\n  }")
@@ -238,6 +235,8 @@ def cmd_parametrize(args) -> int:
     mu = moebius_sieve(bound) if args.squarefree_only else None
     least, r = families._least_curve(j)
     least_height = height(spec, least)
+    if least_height.denominator == 1:  # integer rows multiply faster than Fraction ones
+        least_height = least_height.numerator
 
     def rows():
         for m in range(-bound, bound + 1):

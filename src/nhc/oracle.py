@@ -1,35 +1,28 @@
 """Brute-force lattice census: the ground truth for every exact formula.
 
-``brute_census`` counts the integer pairs (A, B) of the height box column
-by column, from the definitions only, at one integer square root per
-column and one step per twist.  (A, B) is singular iff 27B^2 = -4A^3, so a
-column holds 0, 1 (A = 0) or 2 singular points.  It is a twist iff some
-prime p has p^4 | A and p^6 | B, so the twists of column A are one set:
-the B that are multiples of a p^6 with p^4 | A.  A column's
-representatives are its elliptic points less the elliptic B of that set.
-
-The per-j counts come from a separate column scan.  (A, B) has invariant
-j = j_num / j_den iff
+``brute_census`` counts the integer pairs (A, B) of the height box in one
+pass over the columns A, from the definitions only.  (A, B) is singular iff
+27B^2 = -4A^3: one integer square root finds a column's 0, 1 or 2 singular
+B.  It is a twist iff some prime p has p^4 | A and p^6 | B: the column's
+twisted B are the multiples of its moduli, the p^6 with p^4 | A, counted by
+inclusion-exclusion and never listed.  (A, B) has j = j_num / j_den iff
 
     27 j_num B^2 = (6912 j_den - 4 j_num) A^3,
 
-the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied; the
-singular locus is the same equation with j_num = 1 and j_den = 0.  For
-j = 0 it holds on the A = 0 column; for any other j a column holds at
-most the two B = +-sqrt(...), found by the same square root.  Every
-candidate is confirmed against the definition, and it is a representative
-iff B is not in the column's set of twists, the set the box scan reads.
-None of the counting formulas being verified enter either scan.
+the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied.  j = 0 holds
+on the elliptic points of A = 0; any other j holds at most at a column's
+B = +-sqrt(...), found by the same square root, confirmed against the
+definition, and a representative iff no modulus of the column divides B.
+None of the counting formulas being verified enter the scan.
 
-The box scan is embarrassingly parallel over stripes of the A-range, and
-the merge is plain integer addition, so the result is identical for any
-stripe count or worker count.  Scans are refused above a lattice-point
-budget (override with the NHC_ORACLE_CAP environment variable).
+The scan is embarrassingly parallel over stripes of the A-range, and the
+merge is plain integer addition, so the result is identical for any stripe
+count or worker count.  Scans are refused above a lattice-point budget
+(override with the NHC_ORACLE_CAP environment variable).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from collections.abc import Iterator
@@ -74,22 +67,6 @@ def _box_within_budget(spec: HeightSpec, bound: int | Fraction) -> HeightBox:
     return b
 
 
-@functools.lru_cache(maxsize=1)  # a j = 0 tally asks for the A = 0 column at every B
-def _twists(a: int, by: int) -> frozenset[int]:
-    """Every B in [-by, by] with (A, B) a twist: the multiples of p^6 for
-    each prime p with p^4 | A (a p^6 > by gives B = 0 alone).  Every p^4
-    divides A = 0, and there only the p^6 <= by are taken: (0, 0) is
-    singular."""
-    out = set()
-    for p in _small_primes():
-        if (p**4 > abs(a)) if a else (p**6 > by):
-            break
-        if a % p**4 == 0:
-            q = p**6
-            out.update(range(-(by // q) * q, by + 1, q))
-    return frozenset(out)
-
-
 def _roots(c: int, n: int, by: int) -> range | tuple[int, ...]:
     """Every B in [-by, by] with c B^2 = n, in sorted order: all of them
     when c = n = 0, otherwise at most B = +-sqrt(n / c), found by one divmod
@@ -103,20 +80,51 @@ def _roots(c: int, n: int, by: int) -> range | tuple[int, ...]:
     return (-root, root) if root else (0,)
 
 
-def _scan_stripe(args: tuple[int, int, int]) -> tuple[int, int, int]:
-    """(singular, elliptic, representatives) over A in [a_lo, a_hi] x B in
-    [-by, by]."""
-    a_lo, a_hi, by = args
+def _multiples(mods: list[int], n: int, i: int = 0) -> int:
+    """How many B in [1, n] some mods[k], k >= i, divides (ascending, pairwise
+    coprime mods): each B counts at the last such k, as B = q B' with no later q | B'."""
+    total = 0
+    for k in range(i, len(mods)):
+        if mods[k] > n:
+            break
+        total += n // mods[k] - _multiples(mods, n // mods[k], k + 1)
+    return total
+
+
+def _scan_stripe(args: tuple[int, int, int, tuple[Fraction, ...]]) -> tuple[int, ...]:
+    """(singular, elliptic, representatives, then the curves and the
+    representatives of each tracked j) over A in [a_lo, a_hi] x B in [-by, by]."""
+    a_lo, a_hi, by, js = args
+    quartics = [(p**4, p**6) for p in _small_primes() if p**4 <= max(abs(a_lo), abs(a_hi))]
+    zero_mods = [p**6 for p in _small_primes() if p**6 <= by]  # every p^4 divides A = 0
+    solve = [(k, 27 * j.numerator, 6912 * j.denominator - 4 * j.numerator, j.numerator,
+              6912 * j.denominator) for k, j in enumerate(js) if j]
+    j0 = js.index(0) if 0 in js else None
     singular = elliptic = reps = 0
+    tally = [0] * (2 * len(js))
     for a in range(a_lo, a_hi + 1):
-        sing = _roots(27, -4 * a**3, by)  # 27 B^2 = -4 A^3
-        twists = _twists(a, by)
+        a3 = a**3
+        mods = [q6 for q4, q6 in quartics if a % q4 == 0] if a else zero_mods
+        sing = _roots(27, -4 * a3, by)  # 27 B^2 = -4 A^3
         col = 2 * by + 1 - len(sing)
+        twists = 0
+        if mods:  # B = 0, the multiples of each sign, less the singular twists
+            twists = 1 + 2 * _multiples(mods, by) - sum(not all(s % q for q in mods) for s in sing)
         singular += len(sing)
         elliptic += col
-        # the column's elliptic points minus its elliptic twists
-        reps += col - len(twists) + len(twists.intersection(sing))
-    return singular, elliptic, reps
+        reps += col - twists
+        if a:
+            for k, c, m, j_num, j_den6912 in solve:
+                for bb in _roots(c, m * a3, by):
+                    s = 4 * a3 + 27 * bb * bb
+                    # confirm against j = 6912 A^3 / s, cross-multiplied
+                    if s and j_num * s == j_den6912 * a3:
+                        tally[2 * k] += 1
+                        tally[2 * k + 1] += all(bb % q for q in mods)
+        elif j0 is not None:  # j = 0 holds on the elliptic points of A = 0
+            tally[2 * j0] += col
+            tally[2 * j0 + 1] += col - twists
+    return (singular, elliptic, reps, *tally)
 
 
 def _curves_with_j(j: Fraction, b: HeightBox) -> Iterator[tuple[int, int]]:
@@ -135,15 +143,6 @@ def _curves_with_j(j: Fraction, b: HeightBox) -> Iterator[tuple[int, int]]:
                 yield a, bb
 
 
-def _tally_j(j: Fraction, b: HeightBox) -> tuple[int, int]:
-    """(curves, representatives) with invariant j in the box."""
-    curves = reps = 0
-    for a, bb in _curves_with_j(j, b):  # counted as they come: j = 0 is a whole column
-        curves += 1
-        reps += bb not in _twists(a, b.y_bound)
-    return curves, reps
-
-
 def brute_census(
     spec: HeightSpec,
     bound: int | Fraction,
@@ -154,18 +153,17 @@ def brute_census(
 ) -> CensusResult:
     """Count every lattice point of the height box, column by column.
 
-    Each A column gives its singular points by one square root, and its set
-    of twisted B gives its representatives among the elliptic curves.  The
-    column scan of each tracked j-invariant reads the same sets for its
-    (curves, representatives).
-    The box is cut into ``stripes`` A-ranges, scanned by a pool of at most
-    min(workers, os.cpu_count()) processes when workers > 1.
+    One pass over the A columns counts the singular points, the elliptic
+    curves, their representatives and each tracked j's (curves,
+    representatives).  The box is cut into ``stripes`` A-ranges, scanned by
+    a pool of at most min(workers, os.cpu_count()) processes when workers > 1.
     """
     b = _box_within_budget(spec, bound)
     width = 2 * b.x_bound + 1
     stripes = min(max(1, stripes), width)
     cuts = [-b.x_bound + (width * i) // stripes for i in range(stripes + 1)]
-    jobs = [(cuts[i], cuts[i + 1] - 1, b.y_bound) for i in range(stripes)]
+    js = tuple(dict.fromkeys(map(Fraction, tracked_j)))  # a repeated j is counted once
+    jobs = [(cuts[i], cuts[i + 1] - 1, b.y_bound, js) for i in range(stripes)]
 
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled census pays for it
@@ -174,15 +172,14 @@ def brute_census(
             parts = list(pool.map(_scan_stripe, jobs))
     else:
         parts = [_scan_stripe(job) for job in jobs]
-    singular, elliptic, reps = map(sum, zip(*parts))
+    singular, elliptic, reps, *tally = map(sum, zip(*parts))
 
     return CensusResult(
         box=b,
         total_elliptic=elliptic,
         total_representatives=reps,
         singular_points=singular,
-        # a repeated j is scanned once
-        per_j={j: _tally_j(j, b) for j in dict.fromkeys(map(Fraction, tracked_j))},
+        per_j={j: (tally[2 * k], tally[2 * k + 1]) for k, j in enumerate(js)},
     )
 
 

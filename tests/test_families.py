@@ -39,7 +39,7 @@ from nhc.families import (
     twist_decompose,
 )
 from nhc.heights import CALIBRATED, UNCALIBRATED, HeightBox, HeightSpec, box, height
-from nhc.oracle import _curves_with_j, _tally_j, brute_census
+from nhc.oracle import _curves_with_j, brute_census
 
 from arith_reference import is_kfree, ord_p
 
@@ -309,10 +309,11 @@ class TestFixedJCounts:
             assert parametrized == curves
 
     @pytest.mark.parametrize("spec", [CALIBRATED, UNCALIBRATED], ids=["cal", "ncal"])
-    def test_against_column_scan_at_1e12(self, spec):
+    def test_against_column_scan_at_1e12(self, spec, monkeypatch):
         # 100 times the census budget: the column scan takes one square root
-        # per A.  The rational j come from points of a small box, so each
-        # family has curves below 1e12.
+        # per A and j.  The rational j come from points of a small box, so
+        # each family has curves below 1e12.
+        monkeypatch.setenv("NHC_ORACLE_CAP", str(10**16))
         rng = random.Random(8)
         small = box(spec, 10**6)
         js = [Fraction(o.j) for o in CM_ORDERS if o.j]
@@ -321,7 +322,11 @@ class TestFixedJCounts:
             b = rng.randint(1, small.y_bound)
             if 4 * a**3 + 27 * b**2:
                 js.append(Fraction(6912 * a**3, 4 * a**3 + 27 * b**2))
-        scanned = {j: _tally_j(j, box(spec, 10**12)) for j in js}
+        census = brute_census(spec, 10**12, tracked_j=js)
+        assert census.total_elliptic == count_curves(spec, 10**12)
+        assert census.total_representatives == count_representatives(spec, 10**12)
+        assert census.singular_points == count_singular(spec, 10**12)
+        scanned = census.per_j
         for j, counts in scanned.items():
             assert counts == (
                 count_curves_with_j(j, spec, 10**12),

@@ -5,6 +5,7 @@ import ast
 import concurrent.futures
 import functools
 import inspect
+import math
 import random
 from fractions import Fraction
 
@@ -42,11 +43,9 @@ class TestCensus:
         assert c.per_j[Fraction(-3375)] == (2, 2)
         assert list(oracle._curves_with_j(Fraction(-3375), c.box)) == [(-35, -98), (-35, 98)]
 
-    def test_a0_twists_built_once_per_j0_tally(self):
-        # the j = 0 tally reads the twists of the A = 0 column at every B
-        oracle._twists.cache_clear()
-        assert oracle._tally_j(Fraction(0), box(CALIBRATED, 10**9)) == (12170, 11964)
-        assert oracle._twists.cache_info().misses == 1
+    def test_j0_from_the_a0_column(self):
+        # the j = 0 curves are the elliptic points of the A = 0 column, by = 6085
+        assert brute_census(CALIBRATED, 10**9, tracked_j=[0]).per_j[0] == (12170, 11964)
 
     def test_roots(self):
         assert oracle._roots(27, -4 * (-3) ** 3, 2) == (-2, 2)  # (-3, +-2) is singular
@@ -112,6 +111,67 @@ class TestCensus:
             if isinstance(node, ast.ImportFrom) and node.level
         }
         assert imported == {"exactarith", "heights"}
+
+
+def _listed_twists(a: int, by: int) -> int:
+    """How many B in [-by, by] make (A, B) an elliptic twist, from listed
+    multiples of the moduli: the p^6 with p^4 | A, or every p^6 <= by when
+    A = 0.  The twists are symmetric in B, so only B > 0 is listed; the
+    multiples of the smallest modulus are counted, and those of the others
+    listed only off them, which keeps the set small at A = 0."""
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    mods = [p**6 for p in primes if (a % p**4 == 0 if a else p**6 <= by)]
+    if not mods:
+        return 0
+    q0 = mods[0]
+    listed = {b for q in mods[1:] for b in range(q, by + 1, q) if b % q0}
+    # the singular points are (-3m^2, +-2m^3)
+    singular = {s * 2 * m**3 for m in range(math.isqrt(abs(a)) + 1) if -3 * m * m == a
+                for s in (1, -1) if 2 * m**3 <= by}
+    twisted_singular = sum(any(b % q == 0 for q in mods) for b in singular)
+    return 1 + 2 * (by // q0 + len(listed)) - twisted_singular
+
+
+class TestTwistCount:
+    """The census counts each column's twists by inclusion-exclusion; the
+    reference lists them."""
+
+    @staticmethod
+    def counted(a: int, by: int) -> int:
+        _singular, elliptic, reps = oracle._scan_stripe((a, a, by, ()))
+        return elliptic - reps
+
+    @pytest.mark.parametrize(
+        "a, by",
+        [
+            (0, 23**6 + 4321),  # nine moduli, 2^6 ... 23^6
+            (0, 23**6),  # by on the largest modulus
+            (0, 64 * 729),  # by on the product of two
+            (0, 63),  # no modulus: (0, 0) is singular, and nothing else twists
+            (1296, 10**6),  # 2^4 3^4 | A: two moduli
+            (-810000, 10**6),  # 2^4 3^4 5^4 | A: three moduli
+            (810000, 3 * 64 * 15625),  # by on a multiple of 2^6 5^6
+            (810000, 729 * 7),
+            (1296, 63),  # by < 2^6: only B = 0
+            (-16 * 17**4, 10**5),  # 17^6 > by: B = 0 and the multiples of 2^6
+            (-3888, 93312),  # (-3888, +-93312) is singular, and 2^6 | 93312
+            (-3888, 93311),
+            (-625, 3 * 15625),  # |A| = 5^4 itself
+            (5, 10**6),  # no p^4 divides A
+        ],
+    )
+    def test_listed_columns(self, a, by):
+        assert self.counted(a, by) == _listed_twists(a, by)
+
+    def test_seeded_random_columns(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            a = rng.choice((1, 16, 81, 625, 1296, 810000, 3 * 16, 3 * 1296)) * rng.randint(-400, 400)
+            if rng.random() < 0.2:  # a singular column A = -3m^2
+                a = -3 * (rng.choice((2, 3, 6, 10)) * rng.randint(1, 30)) ** 2
+            q = rng.choice((64, 729, 15625, 64 * 729))
+            by = rng.choice((rng.randint(1, 2 * 10**5), q * rng.randint(1, 20), q - 1))
+            assert self.counted(a, by) == _listed_twists(a, by), (a, by)
 
 
 def _is_twist(a: int, b: int) -> bool:
