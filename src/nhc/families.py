@@ -130,11 +130,11 @@ def _exact_int(q: Fraction) -> int:
     return int(q)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def _least_curve(j: int | Fraction) -> tuple[WeierstrassCurve, int]:
     """((A_j, B_j), r): the least curve with invariant j and the exponent r
     with curve m = (m^(r//3) A_j, m^(r//2) B_j) of height |m|^r H(A_j, B_j).
-    Cached, so a(j) is factored once per j."""
+    Cached for the last 256 j, so a(j) is factored once per j."""
     j = Fraction(j)
     if j == 0:
         return WeierstrassCurve(0, 1), 2

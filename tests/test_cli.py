@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nhc.cli as cli
-from nhc import cm, families
+from nhc import cm, exactarith, families
 from nhc.heights import CALIBRATED
 
 
@@ -111,6 +111,22 @@ class TestCount:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("refused: factoring a 61-digit composite")
+
+    def test_factoring_budget_refused_after_other_primes(self, capsys, monkeypatch):
+        monkeypatch.setattr(exactarith, "_known_primes", {})
+        # a fixed j whose a(j) needs rho, then a memo filled to its bound
+        assert run(capsys, "count", "--family", "j", "--j", f"{100003 * 100019}/7", "--bound", "1e30")[0] == 0
+        n = 10**6
+        while len(exactarith._known_primes) < exactarith._KNOWN_PRIMES_CAP:
+            n += 1
+            exactarith.factorize(n)
+        for argv in (
+            ("twist", "--", str(HARD_SEMIPRIME), str(HARD_SEMIPRIME)),
+            ("count", "--family", "j", "--j", f"{HARD_SEMIPRIME}/7", "--bound", "1e10"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (6, "")
+            assert err.startswith("refused: factoring a 61-digit composite")
 
 
 class TestParametrize:

@@ -4,6 +4,7 @@ Reference values come from independent routes: a trial-division Moebius
 table, an incremental k-free sieve, and hand-checkable factorizations.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -76,18 +77,94 @@ class TestFactorize:
             assert factorize(n).value() == n
 
     def test_rho_budget_counts_every_retry(self, monkeypatch):
-        # 1363 = 29 * 47: the polynomials x^2 + 1 and x^2 + 2 collapse after
-        # 8 and 6 steps, and x^2 + 3 splits it after 5 more
-        monkeypatch.setattr(exactarith, "_RHO_BUDGET", 19)
-        assert exactarith._pollard_rho(1363) == 29
-        monkeypatch.setattr(exactarith, "_RHO_BUDGET", 18)
-        with pytest.raises(ScanBudgetError, match="budget of 18 Pollard rho steps"):
-            exactarith._pollard_rho(1363)
+        # 703 = 19 * 37: x^2 + 1 collapses after 15 evaluations (batches of
+        # 1, 2 and 4 after advances of 1, 2 and 4 reach gcd 703, and so does
+        # the first replayed step), and x^2 + 2 splits off 19 after 6 more
+        monkeypatch.setattr(exactarith, "_RHO_BUDGET", 21)
+        assert exactarith._pollard_rho(703) == 19
+        monkeypatch.setattr(exactarith, "_RHO_BUDGET", 20)
+        with pytest.raises(ScanBudgetError, match="budget of 20 Pollard rho steps"):
+            exactarith._pollard_rho(703)
 
     def test_rational(self):
         f = factorize_rational(Fraction(-4, 27))
         assert f.sign == -1 and f.factors == {2: 2, 3: -3}
         assert f.value() == Fraction(-4, 27)
+
+
+def next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+class TestBrentRho:
+    @pytest.mark.parametrize("n,factor,evaluations", [
+        (10007**2, 10007, 129),
+        (10007**3, 10007, 129),
+        (42083 * 342863, 42083, 276),
+    ], ids=["p^2", "p^3", "one-batch pair"])
+    def test_batch_replay(self, monkeypatch, n, factor, evaluations):
+        # each batch gcd reaches n, and replaying it one step per gcd splits
+        # n with x^2 + 1: a collapse instead would need more evaluations
+        monkeypatch.setattr(exactarith, "_RHO_BUDGET", evaluations)
+        assert exactarith._pollard_rho(n) == factor
+        monkeypatch.setattr(exactarith, "_RHO_BUDGET", evaluations - 1)
+        with pytest.raises(ScanBudgetError):
+            exactarith._pollard_rho(n)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_proper_divisor(self, seed):
+        rng = random.Random(seed)
+        primes = [next_prime(rng.randrange(10**4, 10**9)) for _ in range(5)]
+        for n in (primes[0] * primes[1], primes[2] * primes[3] * primes[4]):
+            d = exactarith._pollard_rho(n)
+            assert 1 < d < n and n % d == 0
+
+
+class TestKnownPrimes:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(exactarith, "_known_primes", {})
+
+    @pytest.mark.parametrize("n", [
+        -(2**3) * 10007**2 * 42083 * 342863 * 999999937,
+        10007**3 * 9973,
+        2631905352272628650988,
+        999999937 * 999999929,
+    ])
+    def test_same_answer_whatever_is_known(self, monkeypatch, n):
+        expected = factorize(n)
+        unrelated = [next_prime(10**6 + 1000 * i) for i in range(exactarith._KNOWN_PRIMES_CAP)]
+        own = [p for p in expected.factors if p > exactarith._TRIAL_BOUND]
+
+        def no_rho(m):
+            raise AssertionError(f"rho ran on {m} with every prime of {n} known")
+
+        rho = exactarith._pollard_rho
+        for known, splitter in ([], rho), (unrelated, rho), (own, no_rho), (unrelated[len(own):] + own, no_rho):
+            monkeypatch.setattr(exactarith, "_pollard_rho", splitter)
+            exactarith._known_primes.clear()
+            exactarith._known_primes.update(dict.fromkeys(known))
+            f = factorize(n)
+            assert f == expected and list(f.factors) == list(expected.factors)
+
+    def test_bounded_oldest_evicted_primes_only(self):
+        cap = exactarith._KNOWN_PRIMES_CAP
+        factorize(2 * 9973)  # 9973 survives trial division, but is below its bound
+        assert exactarith._known_primes == {}
+        reported = [next_prime(10**5)]
+        while len(reported) < cap + 40:
+            reported.append(next_prime(reported[-1] + 1))
+        for i, p in enumerate(reported):
+            assert factorize(9973 * p).factors == {9973: 1, p: 1}
+            assert list(exactarith._known_primes) == reported[max(0, i + 1 - cap) : i + 1]
+        factorize(reported[-1] ** 2)  # a known prime is not added again
+        assert list(exactarith._known_primes) == reported[-cap:]
+        q = next_prime(reported[-1] + 1)
+        assert factorize(q**2).factors == {q: 2}  # rho reports q twice; it is kept once
+        assert list(exactarith._known_primes) == reported[1 - cap :] + [q]
+        assert all(is_prime(r) for r in reported)
 
 
 class TestOrdP:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nhc import families
+from nhc import exactarith, families
 from nhc.asymptotics import fixed_j_coefficient, main_term_representatives_with_j
 from nhc.cm import CM_ORDERS
 from nhc.cuspidal import cubic_param
@@ -454,6 +454,35 @@ class TestMinimalCurves:
         minimal_curves(j, CALIBRATED)
         main_term_representatives_with_j(j, CALIBRATED, 10**30)
         assert len(calls) == 1
+
+    def test_rho_once_per_fixed_j_and_twist(self, monkeypatch):
+        # a(j) = 4M / (27N) with N = n0 * p0 * p1 and M = 1728 D - N = p2:
+        # rho splits p0 * p1 once, and gcd(A, B) of the twist, which holds
+        # p0 * p1 * p2 again, is divided by the primes already certified
+        p0, p1, p2 = 100003, 100019, 100043
+        n = (-p2 * pow(p0 * p1, -1, 1728)) % 1728 * p0 * p1
+        j = Fraction(n, (n + p2) // 1728)
+        assert cubic_coefficient(j) == Fraction(4 * p2, 27 * n)
+        rho = exactarith._pollard_rho
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return rho(m)
+
+        monkeypatch.setattr(exactarith, "_pollard_rho", counted)
+        monkeypatch.setattr(exactarith, "_known_primes", {})
+        families._least_curve.cache_clear()
+        (least, _), _ = minimal_curves(j, CALIBRATED)
+        assert twist_decompose(twist(least, 6)) == (6, least)
+        assert calls == [p0 * p1]
+
+    def test_least_curve_cache_bounded(self):
+        families._least_curve.cache_clear()
+        for j in range(1, 400):
+            if j != 1728:
+                param_bound(j, CALIBRATED, 10**9)
+        assert families._least_curve.cache_info().currsize == 256
 
     def test_table_rows(self):
         curves, h = minimal_curves(-262537412640768000, CALIBRATED)
