@@ -8,16 +8,23 @@ reduces to a handful of exact primitives collected here:
                               reported, then Brent's Pollard rho (past its
                               budget raises ScanBudgetError)
     moebius_sieve(N)          Moebius function on 0..N, read from one shared
-                              sieve that grows on demand (at most 10^7
-                              entries; larger raises ScanBudgetError)
+                              sieve of bytes that grows on demand (at most
+                              10^7 entries; larger raises ScanBudgetError)
     iroot(n, k)               floor(n^(1/k)) for integers, exact
     floor_rational_root(q, k) floor(q^(1/k)) for rationals, exact
-    count_kfree(M, k)         number of k-free integers in [1, M], exact
+    count_kfree(M, k)         number of k-free integers in [1, M], exact:
+                              the Moebius sum over d^k <= M term by term up
+                              to about M^(1/(k+1)); past it, d runs in
+                              blocks of constant v = floor(M / d^k), and
+                              each block adds v * (Mert(hi) - Mert(lo)),
+                              a difference of Mertens sums of the sieve
 
 All results are exact.  Counting formulas in the rest of the package are
 floors of algebraic expressions, so "close enough" roots are never
 acceptable: every root routine here certifies m^k <= x < (m+1)^k before
-returning m.
+returning m.  A floating-point root only seeds that check, and only where
+it is known to land within about 1 of the answer; the result never trusts
+floating point.
 
 Rational numbers are ``fractions.Fraction`` values throughout: the stdlib
 type already guarantees lowest terms and a positive denominator, which is
@@ -28,8 +35,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 # Trial division handles all prime factors below this bound; Pollard rho
@@ -93,12 +102,15 @@ class ScanBudgetError(RuntimeError):
     """Requested scan, sieve or factoring exceeds its budget."""
 
 
-# Evaluations of x^2 + c that _pollard_rho may make on one number, every
-# retry included: the largest multiple of 2^16 at which refusing a 61-digit
-# or a 212-digit semiprime takes no longer than the 2^18 steps of Floyd's
-# cycle finding did (0.7-0.8 s and 4.2 s, against 0.9-1.0 s and 5.7 s, on
-# 2 vCPU; at 14 * 2^16 the 61-digit refusal was as slow as Floyd's).
+# Evaluations of x^2 + c that _pollard_rho may make on a composite of up to
+# _RHO_FULL_DIGITS digits, every retry included: the largest multiple of
+# 2^16 at which refusing a 61-digit semiprime takes no longer than the 2^18
+# steps of Floyd's cycle finding did (0.7-0.8 s against 0.9-1.0 s on 2 vCPU;
+# at 14 * 2^16 it was as slow as Floyd's).  A squaring of a longer composite
+# costs up to the square of its digits, so its budget shrinks by that square
+# and no refusal takes longer than the 61-digit one.
 _RHO_BUDGET = 13 * 2**16
+_RHO_FULL_DIGITS = 61
 # Steps whose differences are multiplied together before one gcd.
 _RHO_BATCH = 128
 
@@ -111,19 +123,22 @@ def _pollard_rho(n: int) -> int:
     into one gcd.  A batch whose gcd reaches n is replayed one step per
     gcd; if that gives n too, the cycle collapsed and c + 1 is tried.
     Raises ScanBudgetError as soon as the evaluations of x^2 + c it is
-    about to make would pass _RHO_BUDGET, so the factor found never depends
-    on the budget.
+    about to make would pass the budget (_RHO_BUDGET, scaled down by the
+    square of the digits past _RHO_FULL_DIGITS), so the factor found never
+    depends on the budget.
     """
     if n % 2 == 0:
         return 2
-    left = _RHO_BUDGET
+    digits = len(str(n))
+    budget = _RHO_BUDGET * _RHO_FULL_DIGITS**2 // max(digits, _RHO_FULL_DIGITS) ** 2
+    left = budget
 
     def spend(steps: int) -> None:
         nonlocal left
         if steps > left:
             raise ScanBudgetError(
-                f"factoring a {len(str(n))}-digit composite exceeds the budget of "
-                f"{_RHO_BUDGET} Pollard rho steps"
+                f"factoring a {digits}-digit composite exceeds the budget of "
+                f"{budget} Pollard rho steps"
             )
         left -= steps
 
@@ -189,7 +204,7 @@ def factorize(n: int) -> Factorization:
     _TRIAL_BOUND; a fixed j factors the primes of a(j) again as those of
     gcd(A, B)), then Miller-Rabin plus Pollard rho on whatever survives,
     so every reported prime carries a primality certificate.  A composite
-    that rho cannot split within _RHO_BUDGET evaluations raises
+    that rho cannot split within its budget of evaluations raises
     ScanBudgetError.
     """
     if n == 0:
@@ -240,20 +255,28 @@ def factorize_rational(q: Fraction) -> Factorization:
 
 # The largest Moebius sieve built, in entries: enough for representative
 # counts up to a calibrated cutoff of about 1e84.  By tracemalloc it holds
-# 80 MB and peaks at 107 MB while it is built.
+# 10 MB, one signed byte per entry (a list would hold 80 MB), and peaks at
+# 107 MB while it is built; count_representatives(cal, 1e84) peaks at
+# 96 MB and builds no Mertens prefix, count_cm_representatives(cal, 1e72)
+# at 11 MB with a prefix of 890,899 entries.
 _SIEVE_BUDGET = 10**7
-_sieve: list[int] = []
+_sieve = array("b")
+# Mertens prefix of _sieve: _mertens[n] = moebius(1) + ... + moebius(n).
+# count_kfree grows it as far as it reads; a rebuilt sieve empties it.
+_mertens = array("i", [0])
 
 
-def moebius_sieve(limit: int) -> list[int]:
+def moebius_sieve(limit: int) -> array:
     """moebius(n) at index n <= limit (index 0 is padding), from one shared
-    sieve rebuilt only when asked past its end.  Never modify it."""
-    global _sieve
+    sieve of signed bytes rebuilt only when asked past its end.  Never
+    modify it."""
+    global _sieve, _mertens
     if limit > _SIEVE_BUDGET:
         raise ScanBudgetError(
             f"Moebius sieve up to {limit} exceeds the budget of {_SIEVE_BUDGET} entries"
         )
     if limit >= len(_sieve):
+        _mertens = array("i", [0])
         mu = [2] * (limit + 1)  # linear sieve; still 2 when i reaches it: a prime
         mu[:2] = 1, 1
         primes: list[int] = []
@@ -268,16 +291,24 @@ def moebius_sieve(limit: int) -> list[int]:
                     mu[i * p] = 0
                     break
                 mu[i * p] = -mu[i]
-        _sieve = mu
+        del primes
+        _sieve = array("b", mu)
     return _sieve
+
+
+# iroot seeds from a float only while the root has at most this many bits:
+# there n ** (1/k) is within about 1 of the root, whose logarithm scales the
+# rounding error of 1/k.  (An n of 1024 bits or more can overflow a float.)
+_FLOAT_ROOT_BITS = 48
 
 
 def iroot(n: int, k: int) -> int:
     """The unique m >= 0 with m^k <= n < (m+1)^k, for n >= 0, k >= 1.
 
-    Newton iteration on integers, seeded above the root from the bit
-    length, then corrected against exact powers; never trusts floating
-    point.
+    Below 2^(48k) (and 2^1023) the seed is int(n ** (1/k)), within about 1
+    of the root; above, Newton iteration on integers from 2^ceil(bits/k).
+    Either seed is then corrected against exact powers, so the result never
+    trusts floating point.
     """
     if n < 0:
         raise ValueError("iroot requires n >= 0")
@@ -287,14 +318,16 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    if n < (1 << k):
-        return 1
-    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) >= true root
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
+    bits = n.bit_length()
+    if bits <= _FLOAT_ROOT_BITS * k and bits < 1024:
+        x = int(n ** (1 / k))
+    else:
+        x = 1 << -(-bits // k)  # 2^ceil(bits/k) >= true root
+        while True:
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
     while x**k > n:
         x -= 1
     while (x + 1) ** k <= n:
@@ -314,12 +347,30 @@ def floor_rational_root(q: int | Fraction, k: int) -> int:
     return iroot(q.numerator // q.denominator, k)
 
 
+# A block of count_kfree costs an iroot, about as much as this many single
+# terms; s terms and V = M / s^k blocks then cost least at s = cost * k * V.
+_KFREE_BLOCK_COST = 3
+
+
 def count_kfree(limit: int, k: int) -> int:
     """Number of k-free integers in [1, limit], exactly.
 
     Inclusion-exclusion over k-th powers:
 
-        Q_k(M) = sum_{d <= M^(1/k)} moebius(d) * floor(M / d^k)
+        Q_k(M) = sum_{d <= M^(1/k)} moebius(d) * floor(M / d^k).
+
+    With V = floor((M / (3k)^k)^(1/(k+1))) and h(v) = floor((M // v)^(1/k)),
+    the d <= s = h(V + 1) are summed one by one.  Every other d has
+    floor(M / d^k) = v <= V exactly for h(v + 1) < d <= h(v), so with the
+    Mertens function Mert(n) = sum_{d <= n} moebius(d) the block of v adds
+    v * (Mert(h(v)) - Mert(h(v + 1))).  Summed by parts over v:
+
+        Q_k(M) = sum_{d <= s} moebius(d) floor(M / d^k)
+                 + sum_{v <= V} Mert(h(v)) - V Mert(s),
+
+    which costs s terms and V roots, each root about 3 terms; s = 3kV
+    balances them (see _KFREE_BLOCK_COST).  Mert is read from a prefix of
+    the shared sieve, grown as far as h(1) = floor(M^(1/k)).
     """
     if limit < 0:
         raise ValueError("count_kfree requires limit >= 0")
@@ -329,4 +380,14 @@ def count_kfree(limit: int, k: int) -> int:
         return 0
     r = iroot(limit, k)
     mu = moebius_sieve(r)
-    return sum(mu[d] * (limit // d**k) for d in range(1, r + 1) if mu[d])
+    blocks = iroot(limit // (_KFREE_BLOCK_COST * k) ** k, k + 1)
+    s = iroot(limit // (blocks + 1), k)
+    head = sum(mu[d] * (limit // d**k) for d in range(1, s + 1) if mu[d])
+    if not blocks:
+        return head
+    if len(_mertens) <= r:
+        run = accumulate(islice(mu, len(_mertens), r + 1), initial=_mertens[-1])
+        next(run)  # the last value already stored
+        _mertens.extend(run)
+    mert = _mertens
+    return head + sum(mert[iroot(limit // v, k)] for v in range(1, blocks + 1)) - blocks * mert[s]

@@ -112,6 +112,16 @@ class TestCount:
         assert len(err.splitlines()) == 1
         assert err.startswith("refused: factoring a 61-digit composite")
 
+    def test_factoring_budget_scaled_past_61_digits(self, capsys):
+        # trial division leaves a 223-digit composite of a(10^249), whose
+        # budget is cut by (61 / 223)^2
+        code, out, err = run(capsys, "count", "--family", "j", "--j", "1e249", "--bound", "1e10")
+        budget = exactarith._RHO_BUDGET * 61**2 // 223**2
+        assert (code, out) == (6, "")
+        assert err == (
+            f"refused: factoring a 223-digit composite exceeds the budget of {budget} Pollard rho steps\n"
+        )
+
     def test_factoring_budget_refused_after_other_primes(self, capsys, monkeypatch):
         monkeypatch.setattr(exactarith, "_known_primes", {})
         # a fixed j whose a(j) needs rho, then a memo filled to its bound

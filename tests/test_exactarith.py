@@ -5,7 +5,9 @@ table, an incremental k-free sieve, and hand-checkable factorizations.
 """
 
 import random
+from array import array
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -24,7 +26,7 @@ from nhc.exactarith import (
     moebius_sieve,
 )
 
-from arith_reference import is_kfree, ord_p
+from arith_reference import count_kfree_direct, is_kfree, ord_p
 
 
 def mu_by_trial_division(n: int) -> int:
@@ -85,6 +87,31 @@ class TestFactorize:
         monkeypatch.setattr(exactarith, "_RHO_BUDGET", 20)
         with pytest.raises(ScanBudgetError, match="budget of 20 Pollard rho steps"):
             exactarith._pollard_rho(703)
+
+    def test_rho_budget_scaled_past_61_digits(self, monkeypatch):
+        # x^2 + 1 splits 19 * q, for a large prime q, after a number of
+        # evaluations that depends on 19 alone: counted on 52 digits, where
+        # the budget is full, and then spent on 82 digits, where it is
+        # scaled by (61 / 82)^2
+        short, long = 19 * next_prime(10**50), 19 * next_prime(10**80)
+        assert (len(str(short)), len(str(long))) == (52, 82)
+        evaluations = 1
+        while True:
+            monkeypatch.setattr(exactarith, "_RHO_BUDGET", evaluations)
+            try:
+                assert exactarith._pollard_rho(short) == 19
+                break
+            except ScanBudgetError:
+                evaluations += 1
+        for budget in (evaluations, evaluations - 1):
+            full = -(-budget * 82**2 // 61**2)  # the least full budget scaled to budget
+            assert full * 61**2 // 82**2 == budget < full
+            monkeypatch.setattr(exactarith, "_RHO_BUDGET", full)
+            if budget == evaluations:
+                assert exactarith._pollard_rho(long) == 19
+            else:
+                with pytest.raises(ScanBudgetError, match=f"82-digit composite exceeds the budget of {budget} "):
+                    exactarith._pollard_rho(long)
 
     def test_rational(self):
         f = factorize_rational(Fraction(-4, 27))
@@ -265,6 +292,24 @@ class TestIroot:
         assert m >= 0
         assert m**k <= n < (m + 1) ** k
 
+    def test_float_newton_switch(self):
+        # the float seed serves roots below 2^48 (and n below 2^1023), Newton
+        # the rest; both are certified, also next to the switch
+        cases = []
+        for k in range(3, 13):
+            for bits in (48 * k - 1, 48 * k, 48 * k + 1):
+                cases += [(2 ** (bits - 1), k), (2**bits - 1, k)]
+        for k in (3, 4, 6, 7, 12):
+            for base in (2**48, 2**53):
+                for m in range(base - 2, base + 3):
+                    cases += [(m**k + e, k) for e in (-1, 0, 1)]
+        for k in (3, 7, 20, 21, 22, 25, 40):
+            for n in (10**300, 2**1023, 2**1024, 10**309):
+                cases += [(n + e, k) for e in (-1, 0, 1)]
+        for n, k in cases:
+            m = iroot(n, k)
+            assert m**k <= n < (m + 1) ** k, (n, k)
+
     def test_exact_powers(self):
         for base in (2, 3, 10, 163, 10**6 + 3):
             for k in (2, 3, 5, 6, 12):
@@ -317,6 +362,31 @@ class TestCountKfree:
             if is_kfree(m, k):
                 running += 1
             assert count_kfree(m, k) == running
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_block_boundaries(self, k):
+        # floor(M / d^k) changes where M crosses a k-th power, and the number
+        # of blocks where it crosses a (k+1)-th power
+        for m in range(1, 400):
+            for limit in (m**k - 1, m**k, m**k + 1, m ** (k + 1) - 1, m ** (k + 1), m ** (k + 1) + 1):
+                assert count_kfree(limit, k) == count_kfree_direct(limit, k), (limit, k)
+
+    @given(st.sampled_from([2, 3, 4, 6]), st.integers(min_value=0, max_value=10**30))
+    def test_against_direct_sum(self, k, limit):
+        limit %= 10 ** (5 * k) + 1  # at most 10^5 terms for the direct sum
+        assert count_kfree(limit, k) == count_kfree_direct(limit, k)
+
+    def test_mertens_prefix_follows_the_sieve(self, monkeypatch):
+        monkeypatch.setattr(exactarith, "_sieve", [])
+        monkeypatch.setattr(exactarith, "_mertens", array("i", [0]))
+        expected = count_kfree_direct(10**12, 4)
+        assert count_kfree(10**12, 4) == expected
+        assert len(exactarith._mertens) == 1001  # read up to 10^(12/4)
+        assert list(exactarith._mertens) == [0, *accumulate(moebius_sieve(0)[1:1001])]
+        moebius_sieve(5000)  # a rebuilt sieve empties the prefix
+        assert list(exactarith._mertens) == [0]
+        assert count_kfree(10**12, 4) == expected
+        assert len(exactarith._mertens) == 1001
 
     def test_big_input(self):
         # against the direct definition via a plain sieve of flags

@@ -7,6 +7,7 @@ parametrization is checked pointwise against the j-invariant definition.
 """
 
 import random
+from array import array
 from fractions import Fraction
 
 import mpmath
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from nhc import exactarith, families
 from nhc.asymptotics import fixed_j_coefficient, main_term_representatives_with_j
-from nhc.cm import CM_ORDERS
+from nhc.cm import CM_ORDERS, count_cm_representatives
 from nhc.cuspidal import cubic_param
 from nhc.exactarith import floor_rational_root, moebius_sieve
 from nhc.families import (
@@ -38,10 +39,10 @@ from nhc.families import (
     twist,
     twist_decompose,
 )
-from nhc.heights import CALIBRATED, UNCALIBRATED, HeightBox, HeightSpec, box, height
+from nhc.heights import CALIBRATED, UNCALIBRATED, HeightBox, HeightSpec, box, height, parse_height_spec
 from nhc.oracle import _curves_with_j, brute_census
 
-from arith_reference import is_kfree, ord_p
+from arith_reference import count_cm_representatives_direct, is_kfree, ord_p
 
 CM_J = (
     0,
@@ -380,6 +381,51 @@ class TestGlobalCounts:
     def test_representatives_match_fraction_reference(self, alpha, beta, x):
         spec = HeightSpec(alpha, beta)
         assert count_representatives(spec, x) == reference_count_representatives(spec, x)
+
+    # (representatives, CM representatives), computed before count_kfree was blocked
+    PINNED = {
+        ("cal", 30): (4844620043512178762230798, 378350270173072),
+        ("cal", 54): (484462004349754794037260558971803286254594932,
+                      378338630327153418023539970),
+        ("cal", 72): (484462004349754793949036602372897186548036614631855293420996,
+                      378338629164228063663255401470462886),
+        ("ncal", 30): (39960256524727810750988628, 1965923663444322),
+        ("ncal", 54): (3996025652276123128974802658499919381808359578,
+                       1965905186377037646923509882),
+        ("ncal", 72): (3996025652276123127008903241978366501378753800139802318536938,
+                       1965905184531008716415637780858598598),
+        ("alpha/60:1,beta/1:12", 30): (35359149233598643134013694, 6810100045160950),
+        ("alpha/60:1,beta/1:12", 54): (3535914923562681470198739146876344939688636228,
+                                       6810095325407166678787113724),
+        ("alpha/60:1,beta/1:12", 72): (
+            3535914923562681466065672143857541453318466170696498157932836,
+            6810095324935623551113001212156032054,
+        ),
+    }
+
+    @pytest.mark.parametrize("spec_text,exponent", sorted(PINNED))
+    def test_pinned_counts(self, spec_text, exponent):
+        spec = parse_height_spec(spec_text)
+        assert (
+            count_representatives(spec, 10**exponent),
+            count_cm_representatives(spec, 10**exponent),
+        ) == self.PINNED[spec_text, exponent]
+
+    def test_representatives_build_no_mertens_prefix(self, monkeypatch):
+        monkeypatch.setattr(exactarith, "_sieve", array("b"))
+        count_representatives(CALIBRATED, 10**60)
+        assert len(exactarith._sieve) > 1000
+        assert list(exactarith._mertens) == [0]
+
+    @settings(max_examples=50)
+    @given(
+        st.fractions(min_value=Fraction(1, 12), max_value=60, max_denominator=12),
+        st.fractions(min_value=Fraction(1, 12), max_value=60, max_denominator=12),
+        st.integers(min_value=1, max_value=10**40),
+    )
+    def test_cm_match_term_by_term_kfree_sums(self, alpha, beta, x):
+        spec = HeightSpec(alpha, beta)
+        assert count_cm_representatives(spec, x) == count_cm_representatives_direct(spec, x)
 
     @pytest.mark.parametrize("spec", [CALIBRATED, UNCALIBRATED])
     def test_moebius_decomposition_identity(self, spec):
