@@ -62,9 +62,8 @@ class TestCounts:
         assert count_cm_representatives(CALIBRATED, 10**6) == 508
         assert count_cm_representatives(CALIBRATED, 27 * 10**9) == 65732
 
-    def test_repeat_builds_no_sieve(self, monkeypatch):
+    def test_repeat_builds_no_sieve(self, fresh_sieve):
         # thirteen k-free counts read one shared sieve; a repeat reuses it
-        monkeypatch.setattr(exactarith, "_sieve", [])
         first = count_cm_representatives(CALIBRATED, 10**54)
         sieve = exactarith.moebius_sieve(0)
         assert count_cm_representatives(CALIBRATED, 10**54) == first

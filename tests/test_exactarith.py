@@ -4,8 +4,9 @@ Reference values come from independent routes: a trial-division Moebius
 table, an incremental k-free sieve, and hand-checkable factorizations.
 """
 
+import math
 import random
-from array import array
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -30,7 +31,7 @@ from arith_reference import count_kfree_direct, is_kfree, ord_p
 
 
 def mu_by_trial_division(n: int) -> int:
-    # independent of the library's linear sieve
+    # independent of the library's sieve of Eratosthenes
     if n == 1:
         return 1
     count = 0
@@ -222,6 +223,17 @@ def mu_by_factorize(n: int) -> int:
     return -1 if len(exponents) % 2 else 1
 
 
+def is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestIsPrime:
+    def test_small_against_trial_division(self):
+        # every n up to 41 and every multiple of a witness ends in the pre-check
+        for n in range(-5, 10**4 + 1):
+            assert is_prime(n) == is_prime_by_trial_division(n), n
+
+
 class TestMoebius:
     def test_examples(self):
         sieve = moebius_sieve(30)
@@ -234,22 +246,19 @@ class TestMoebius:
         for n in range(1, 500):
             assert mu_by_factorize(n) == sieve[n]
 
-    def test_sieve_budget(self, monkeypatch):
-        monkeypatch.setattr(exactarith, "_sieve", [])
+    def test_sieve_budget(self, fresh_sieve, monkeypatch):
         monkeypatch.setattr(exactarith, "_SIEVE_BUDGET", 100)
         assert moebius_sieve(100)[100] == 0
         with pytest.raises(ScanBudgetError, match="budget of 100 entries"):
             moebius_sieve(101)
 
-    def test_budget_checked_before_reuse(self, monkeypatch):
-        monkeypatch.setattr(exactarith, "_sieve", [])
+    def test_budget_checked_before_reuse(self, fresh_sieve, monkeypatch):
         assert len(moebius_sieve(200)) == 201
         monkeypatch.setattr(exactarith, "_SIEVE_BUDGET", 100)
         with pytest.raises(ScanBudgetError, match="budget of 100 entries"):
             moebius_sieve(150)
 
-    def test_grows_only_past_its_end(self, monkeypatch):
-        monkeypatch.setattr(exactarith, "_sieve", [])
+    def test_grows_only_past_its_end(self, fresh_sieve):
         small = moebius_sieve(30)
         assert len(small) == 31
         assert len(moebius_sieve(40)) == 41  # rebuilt to the limit, no growth factor
@@ -259,6 +268,33 @@ class TestMoebius:
         assert moebius_sieve(30) is big
         assert moebius_sieve(10**3) is big
         assert all(big[n] == mu_by_trial_division(n) for n in range(1, 10**3 + 1))
+
+    @pytest.mark.parametrize("limit", range(65))
+    def test_fresh_build_at_every_small_limit(self, fresh_sieve, limit):
+        # empty slices, p^2 past the limit, and limits 0 and 1
+        assert exactarith._prime_flags(limit) == bytes(
+            is_prime_by_trial_division(n) for n in range(limit + 1)
+        )
+        sieve = moebius_sieve(limit)
+        assert len(sieve) == limit + 1
+        assert [sieve[n] for n in range(1, limit + 1)] == [
+            mu_by_trial_division(n) for n in range(1, limit + 1)
+        ]
+
+    def test_small_primes(self):
+        assert exactarith._small_primes() == tuple(
+            n for n in range(10**4 + 1) if is_prime_by_trial_division(n)
+        )
+
+    def test_build_peak_memory(self, fresh_sieve):
+        # a table of bytes built with slices of bytes: under 5 bytes per entry
+        tracemalloc.start()
+        try:
+            moebius_sieve(10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 10**5
 
     def test_budget_error_is_shared(self):
         assert nhc.ScanBudgetError is oracle.ScanBudgetError is ScanBudgetError
@@ -376,9 +412,7 @@ class TestCountKfree:
         limit %= 10 ** (5 * k) + 1  # at most 10^5 terms for the direct sum
         assert count_kfree(limit, k) == count_kfree_direct(limit, k)
 
-    def test_mertens_prefix_follows_the_sieve(self, monkeypatch):
-        monkeypatch.setattr(exactarith, "_sieve", [])
-        monkeypatch.setattr(exactarith, "_mertens", array("i", [0]))
+    def test_mertens_prefix_follows_the_sieve(self, fresh_sieve):
         expected = count_kfree_direct(10**12, 4)
         assert count_kfree(10**12, 4) == expected
         assert len(exactarith._mertens) == 1001  # read up to 10^(12/4)

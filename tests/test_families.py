@@ -7,7 +7,6 @@ parametrization is checked pointwise against the j-invariant definition.
 """
 
 import random
-from array import array
 from fractions import Fraction
 
 import mpmath
@@ -411,8 +410,7 @@ class TestGlobalCounts:
             count_cm_representatives(spec, 10**exponent),
         ) == self.PINNED[spec_text, exponent]
 
-    def test_representatives_build_no_mertens_prefix(self, monkeypatch):
-        monkeypatch.setattr(exactarith, "_sieve", array("b"))
+    def test_representatives_build_no_mertens_prefix(self, fresh_sieve):
         count_representatives(CALIBRATED, 10**60)
         assert len(exactarith._sieve) > 1000
         assert list(exactarith._mertens) == [0]
