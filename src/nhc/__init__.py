@@ -85,7 +85,7 @@ _SUBMODULE_NAMES = {
         "height",
         "parse_height_spec",
     ),
-    "oracle": ("CensusResult", "brute_census", "brute_minimal", "scan_budget"),
+    "oracle": ("CensusResult", "brute_census", "scan_budget"),
 }
 _SUBMODULE = {name: mod for mod, names in _SUBMODULE_NAMES.items() for name in names}
 

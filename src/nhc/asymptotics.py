@@ -140,23 +140,28 @@ def density_limit(family: str) -> float:
 
 class AsymptoticReport(NamedTuple):
     exact: int
-    approximation: float
+    approximation: float  # inf past the float range
     relative_error: float  # NaN when exact = 0 but approximation is not
 
     def percent(self) -> str:
         return format_percent(self.relative_error)
 
 
-def report(exact: int, approx: float) -> AsymptoticReport:
-    """Package an exact count with its approximation and relative error."""
+def report(exact: int, approx: float | mpmath.mpf) -> AsymptoticReport:
+    """Package an exact count with its approximation and relative error.
+
+    The error is taken in mpmath at double precision, each operand rounded
+    as float() would round it, so counts past the float range need no float.
+    """
     if exact < 0:
         raise ValueError("exact count cannot be negative")
-    approx = float(approx)
-    if exact == 0:
-        rel = 0.0 if approx == 0.0 else math.nan
-    else:
-        rel = abs(approx - exact) / exact
-    return AsymptoticReport(exact, approx, rel)
+    with mpmath.workprec(53):
+        approx, exact_mpf = mpmath.mpf(approx), mpmath.mpf(exact)
+        if exact == 0:
+            rel = 0.0 if approx == 0 else math.nan
+        else:
+            rel = float(abs(approx - exact_mpf) / exact_mpf)
+    return AsymptoticReport(exact, float(approx), rel)
 
 
 def format_percent(relative_error: float) -> str:

@@ -138,36 +138,38 @@ def _json_cell(value, as_string: bool) -> str:
     return json.dumps(str(value))
 
 
-def _emit(args, headers: list[str], rows: Iterable[dict], string_cols=frozenset()) -> int:
-    """Write the rows and return the exit code; csv and json write each row
-    as it comes."""
-    fmt = getattr(args, "format", "table")
+# JSON columns whose integers are always quoted: the curve coefficients and j
+_STRING_COLUMNS = frozenset({"A", "B", "B_abs", "j"})
+
+
+def _emit(args, headers: list[str], rows: Iterable[tuple]) -> int:
+    """Write the rows, each a tuple in header order, and return the exit
+    code; csv and json write each row as it comes."""
     try:
-        out = open(args.output, "w") if getattr(args, "output", None) else sys.stdout
+        out = open(args.output, "w") if args.output else sys.stdout
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
         return 2
     try:
-        if fmt == "json":
+        if args.format == "json":
             # the layout of json.dumps(list_of_rows, indent=2), row by row;
             # every cell is a scalar
-            keys = {h: f"    {json.dumps(h)}: " for h in headers}
+            keys = [(f"    {json.dumps(h)}: ", h in _STRING_COLUMNS) for h in headers]
             first = True
             for row in rows:
                 cells = ",\n".join(
-                    key + _json_cell(row[h], h in string_cols)
-                    for h, key in keys.items()
+                    key + _json_cell(value, quoted) for (key, quoted), value in zip(keys, row)
                 )
                 out.write(("[\n" if first else ",\n") + "  {\n" + cells + "\n  }")
                 first = False
             print("[]" if first else "\n]", file=out)
-        elif fmt == "csv":
+        elif args.format == "csv":
             writer = csv.writer(out)
             writer.writerow(headers)
             for row in rows:
-                writer.writerow([_fmt(row[h]) for h in headers])
+                writer.writerow(map(_fmt, row))
         else:
-            cells = [[_fmt(row[h]) for h in headers] for row in rows]
+            cells = [list(map(_fmt, row)) for row in rows]
             widths = [
                 max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
                 for i, h in enumerate(headers)
@@ -205,7 +207,7 @@ def cmd_count(args) -> int:
         from . import asymptotics
 
         approx = getattr(asymptotics, main_term)(*family_args)
-        rep = asymptotics.report(exact, float(approx))
+        rep = asymptotics.report(exact, approx)
         print(f"main term: {mpmath.nstr(approx, 12)}")
         print(f"relative error: {rep.percent()}")
     return 0
@@ -243,9 +245,9 @@ def cmd_parametrize(args) -> int:
             if m and (mu is None or mu[abs(m)]):
                 curve = families.curve_from_parameter(j, m)
                 # curve m has height |m|^r H(A_j, B_j)
-                yield {"m": m, "A": curve.A, "B": curve.B, "height": abs(m) ** r * least_height}
+                yield m, curve.A, curve.B, abs(m) ** r * least_height
 
-    return _emit(args, ["m", "A", "B", "height"], rows(), string_cols={"A", "B"})
+    return _emit(args, ["m", "A", "B", "height"], rows())
 
 
 # ---------------------------------------------------------------- twist --
@@ -261,32 +263,17 @@ def cmd_twist(args) -> int:
 
 
 def _table_cm_minimal(spec: HeightSpec):
-    rows = [
-        {
-            "d_K": r.disc,
-            "f": r.conductor,
-            "j": r.j,
-            "A": r.curves[0].A,
-            "B_abs": abs(r.curves[0].B),
-            "min_height": r.min_height,
-        }
+    return ["d_K", "f", "j", "A", "B_abs", "min_height"], [
+        (r.disc, r.conductor, r.j, r.curves[0].A, abs(r.curves[0].B), r.min_height)
         for r in cm.cm_minimal_table(spec)
     ]
-    return ["d_K", "f", "j", "A", "B_abs", "min_height"], rows, {"A", "B_abs", "j"}
 
 
 def _table_cm_counts(spec: HeightSpec, bounds):
     table = cm.cm_count_table(spec, bounds or cm.DEFAULT_COUNT_BOUNDS)
-    headers = ["d_K", "f", "j"] + [f"X={_fmt(b)}" for b in table.bounds]
-    rows = []
-    for r in table.rows:
-        row = {"d_K": r.disc, "f": r.conductor, "j": r.j}
-        row.update({f"X={_fmt(b)}": c for b, c in zip(table.bounds, r.counts)})
-        rows.append(row)
-    total = {"d_K": "total", "f": "", "j": ""}
-    total.update({f"X={_fmt(b)}": c for b, c in zip(table.bounds, table.totals)})
-    rows.append(total)
-    return headers, rows, {"j"}
+    rows = [(r.disc, r.conductor, r.j, *r.counts) for r in table.rows]
+    rows.append(("total", "", "", *table.totals))
+    return ["d_K", "f", "j"] + [f"X={_fmt(b)}" for b in table.bounds], rows
 
 
 def _table_coefficients(spec: HeightSpec):
@@ -294,31 +281,19 @@ def _table_coefficients(spec: HeightSpec):
 
     from . import asymptotics
 
-    rows = [
-        {
-            "d_K": r.disc,
-            "f": r.conductor,
-            "j": r.j,
-            "coefficient": mpmath.nstr(r.coefficient, 10),
-        }
+    return ["d_K", "f", "j", "coefficient"], [
+        (r.disc, r.conductor, r.j, mpmath.nstr(r.coefficient, 10))
         for r in asymptotics.coefficient_table(spec)
     ]
-    return ["d_K", "f", "j", "coefficient"], rows, {"j"}
 
 
 def _table_relative_error(spec: HeightSpec, bounds):
     from . import asymptotics
 
-    rows = [
-        {
-            "X": r.bound,
-            "exact": r.exact,
-            "approximation": f"{r.approximation:.2f}",
-            "relative_error": asymptotics.format_percent(r.relative_error),
-        }
+    return ["X", "exact", "approximation", "relative_error"], [
+        (r.bound, r.exact, f"{r.approximation:.2f}", asymptotics.format_percent(r.relative_error))
         for r in asymptotics.error_table(spec, bounds or asymptotics.DEFAULT_ERROR_BOUNDS)
     ]
-    return ["X", "exact", "approximation", "relative_error"], rows, set()
 
 
 def cmd_tables(args) -> int:
@@ -328,14 +303,14 @@ def cmd_tables(args) -> int:
               file=sys.stderr)
         return 2
     if args.name == "cm-minimal":
-        headers, rows, strcols = _table_cm_minimal(spec)
+        table = _table_cm_minimal(spec)
     elif args.name == "cm-counts":
-        headers, rows, strcols = _table_cm_counts(spec, args.bounds)
+        table = _table_cm_counts(spec, args.bounds)
     elif args.name == "coefficients":
-        headers, rows, strcols = _table_coefficients(spec)
+        table = _table_coefficients(spec)
     else:  # relative-error
-        headers, rows, strcols = _table_relative_error(spec, args.bounds)
-    return _emit(args, headers, rows, strcols)
+        table = _table_relative_error(spec, args.bounds)
+    return _emit(args, *table)
 
 
 # --------------------------------------------------------------- verify --

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cuspidal import cubic_param
-from .exactarith import count_kfree, factorize, floor_rational_root, iroot, moebius_sieve
+from .exactarith import count_kfree, factorize, iroot, moebius_sieve
 from .heights import HeightSpec, box, height
 
 
@@ -155,7 +155,8 @@ def _max_parameter(
     x = Fraction(bound)
     if x <= 0:
         raise ValueError("height bound must be positive")
-    return floor_rational_root(x / height(spec, least), r)
+    h = height(spec, least)  # floor(x / h) in integers, then its r-th root
+    return iroot(x.numerator * h.denominator // (x.denominator * h.numerator), r)
 
 
 def curve_from_parameter(j: int | Fraction, m: int) -> WeierstrassCurve:

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
 from .exactarith import ScanBudgetError, _small_primes
-from .heights import CALIBRATED, HeightBox, HeightSpec, box, height
+from .heights import CALIBRATED, HeightBox, HeightSpec, box
 
 
 def scan_budget() -> int:
@@ -127,22 +126,6 @@ def _scan_stripe(args: tuple[int, int, int, tuple[Fraction, ...]]) -> tuple[int,
     return (singular, elliptic, reps, *tally)
 
 
-def _curves_with_j(j: Fraction, b: HeightBox) -> Iterator[tuple[int, int]]:
-    """Every elliptic (A, B) of the box with invariant j, in sorted order.
-
-    The candidates solve 27 j_num B^2 = (6912 j_den - 4 j_num) A^3: for
-    j = 0 that is the A = 0 column, otherwise one square root per column.
-    """
-    j_num, j_den = j.numerator, j.denominator
-    for a in range(-b.x_bound, b.x_bound + 1):
-        a3 = a**3
-        for bb in _roots(27 * j_num, (6912 * j_den - 4 * j_num) * a3, b.y_bound):
-            s = 4 * a3 + 27 * bb * bb
-            # confirm against j = 6912 A^3 / s, cross-multiplied
-            if s and j_num * s == 6912 * j_den * a3:
-                yield a, bb
-
-
 def brute_census(
     spec: HeightSpec,
     bound: int | Fraction,
@@ -181,20 +164,3 @@ def brute_census(
         singular_points=singular,
         per_j={j: (tally[2 * k], tally[2 * k + 1]) for k, j in enumerate(js)},
     )
-
-
-def brute_minimal(
-    j: int | Fraction, spec: HeightSpec, cap: int | Fraction
-) -> tuple[tuple[tuple[int, int], tuple[int, int]], Fraction] | None:
-    """Scan heights up to cap for the least-height curves with invariant j.
-
-    Returns the two least-height curves (larger coefficients first) and
-    the height, or None when the family has no curve below the cap.
-    Verification counterpart of ``families.minimal_curves``.
-    """
-    matches = list(_curves_with_j(Fraction(j), _box_within_budget(spec, cap)))
-    if not matches:
-        return None
-    best = min(height(spec, c) for c in matches)
-    pair = sorted((c for c in matches if height(spec, c) == best), reverse=True)
-    return ((pair[0], pair[1]), best)

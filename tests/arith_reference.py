@@ -1,12 +1,16 @@
 """Definition-level arithmetic that only the tests need: the exponent of a
-prime in a rational, the k-free test by factoring, and the term-by-term
-k-free sums that the blocked ones in the package must equal."""
+prime in a rational, the k-free test by factoring, the term-by-term k-free
+sums that the blocked ones in the package must equal, and the least curves
+of a j found by scanning the height box."""
 
+from collections.abc import Iterator
 from fractions import Fraction
 
 from nhc import families
 from nhc.cm import CM_ORDERS
 from nhc.exactarith import factorize, iroot, is_prime, moebius_sieve
+from nhc.heights import HeightBox, HeightSpec, height
+from nhc.oracle import _box_within_budget, _roots
 
 
 def ord_p(q: int | Fraction, p: int) -> int:
@@ -52,3 +56,36 @@ def count_cm_representatives_direct(spec, bound) -> int:
         least, r = families._least_curve(order.j)
         total += 2 * count_kfree_direct(families._max_parameter(least, r, spec, bound), 12 // r)
     return total
+
+
+def curves_with_j(j: Fraction, b: HeightBox) -> Iterator[tuple[int, int]]:
+    """Every elliptic (A, B) of the box with invariant j, in sorted order.
+
+    The candidates solve 27 j_num B^2 = (6912 j_den - 4 j_num) A^3: for
+    j = 0 that is the A = 0 column, otherwise one square root per column.
+    """
+    j_num, j_den = j.numerator, j.denominator
+    for a in range(-b.x_bound, b.x_bound + 1):
+        a3 = a**3
+        for bb in _roots(27 * j_num, (6912 * j_den - 4 * j_num) * a3, b.y_bound):
+            s = 4 * a3 + 27 * bb * bb
+            # confirm against j = 6912 A^3 / s, cross-multiplied
+            if s and j_num * s == 6912 * j_den * a3:
+                yield a, bb
+
+
+def brute_minimal(
+    j: int | Fraction, spec: HeightSpec, cap: int | Fraction
+) -> tuple[tuple[tuple[int, int], tuple[int, int]], Fraction] | None:
+    """Scan heights up to cap for the least-height curves with invariant j.
+
+    Returns the two least-height curves (larger coefficients first) and
+    the height, or None when the family has no curve below the cap.
+    Verification counterpart of ``families.minimal_curves``.
+    """
+    matches = list(curves_with_j(Fraction(j), _box_within_budget(spec, cap)))
+    if not matches:
+        return None
+    best = min(height(spec, c) for c in matches)
+    pair = sorted((c for c in matches if height(spec, c) == best), reverse=True)
+    return ((pair[0], pair[1]), best)

@@ -176,6 +176,8 @@ class TestReport:
         r = report(5, 5.0)
         assert r.relative_error == 0.0
         assert r.percent() == "0%"
+        r = report(2**1100, mpmath.mpf(2) ** 1100 * 1.25)  # both past the float range
+        assert (r.relative_error, r.percent()) == (0.25, "25%")
 
     def test_undefined(self):
         r = report(0, 3.5)

@@ -39,7 +39,9 @@ from nhc.families import (
     twist_decompose,
 )
 from nhc.heights import CALIBRATED, UNCALIBRATED, HeightBox, HeightSpec, box, height, parse_height_spec
-from nhc.oracle import _curves_with_j, brute_census
+from nhc.oracle import brute_census
+
+from arith_reference import curves_with_j
 
 from arith_reference import count_cm_representatives_direct, is_kfree, ord_p
 
@@ -299,7 +301,7 @@ class TestFixedJCounts:
 
     def test_completeness_against_census(self):
         for j in (Fraction(-3375), Fraction(54000), Fraction(-32768)):
-            curves = set(_curves_with_j(j, box(CALIBRATED, 10**6)))
+            curves = set(curves_with_j(j, box(CALIBRATED, 10**6)))
             bound = param_bound(j, CALIBRATED, 10**6)
             parametrized = {
                 tuple(curve_from_parameter(j, m))

@@ -13,7 +13,9 @@ import pytest
 
 from nhc import oracle
 from nhc.heights import CALIBRATED, UNCALIBRATED, HeightSpec, box, height
-from nhc.oracle import ScanBudgetError, brute_census, brute_minimal, scan_budget
+from nhc.oracle import ScanBudgetError, brute_census, scan_budget
+
+from arith_reference import brute_minimal, curves_with_j
 
 
 class TestCensus:
@@ -36,12 +38,12 @@ class TestCensus:
     def test_repeated_j_counted_once(self):
         c = brute_census(CALIBRATED, 27, tracked_j=[0, Fraction(0), 0])
         assert c.per_j == {Fraction(0): (2, 2)}
-        assert list(oracle._curves_with_j(Fraction(0), c.box)) == [(0, -1), (0, 1)]
+        assert list(curves_with_j(Fraction(0), c.box)) == [(0, -1), (0, 1)]
 
     def test_per_j_with_collection(self):
         c = brute_census(CALIBRATED, 10**6, tracked_j=[-3375])
         assert c.per_j[Fraction(-3375)] == (2, 2)
-        assert list(oracle._curves_with_j(Fraction(-3375), c.box)) == [(-35, -98), (-35, 98)]
+        assert list(curves_with_j(Fraction(-3375), c.box)) == [(-35, -98), (-35, 98)]
 
     def test_j0_from_the_a0_column(self):
         # the j = 0 curves are the elliptic points of the A = 0 column, by = 6085
@@ -257,7 +259,7 @@ class TestCensusAgainstDefinitions:
         assert got.total_elliptic == want["total_elliptic"]
         assert got.total_representatives == want["total_representatives"]
         assert got.per_j == want["per_j"]
-        curves = {j: list(oracle._curves_with_j(j, got.box)) for j in tracked}
+        curves = {j: list(curves_with_j(j, got.box)) for j in tracked}
         assert curves == want["curves_by_j"]
         assert all(want["per_j"][j][0] for j in tracked[4:])
         return want
