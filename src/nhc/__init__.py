@@ -8,7 +8,9 @@ parametrization behind them, their asymptotic main terms, and a
 brute-force census that independently verifies every formula.
 
 The public names below are loaded on first use, so an exact count never
-imports mpmath (``asymptotics``) or the process pool (``oracle``).
+imports mpmath (``asymptotics``) or the census (``oracle``); only a census
+run on more than one worker loads its process pool, from
+``concurrent.futures``.
 """
 
 import importlib

@@ -22,8 +22,8 @@ digits (an exponent eN counts as N digits) is a malformed flag.
 ``tables --bounds`` sets the cutoffs of cm-counts (its columns) and
 relative-error (its rows), each once in first-seen order (1e3 and 1000
 are one cutoff); cm-minimal and coefficients refuse it on exit 2.  csv
-and json are written row by row; only the table format holds every row,
-for its column widths.
+and json are written row by row, and the table format too, after a first
+pass over the rows for its column widths.
 
 mpmath (``asymptotics``) and the census (``oracle``) are imported only by
 the commands that use them, so the exact commands start without them.
@@ -39,7 +39,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from . import cm, families
@@ -125,11 +125,6 @@ def _parse_j_list(text: str) -> list[Fraction]:
     return list(dict.fromkeys(_parse_j(tok) for tok in text.split(",") if tok.strip()))
 
 
-def _fmt(value) -> str:
-    """One cell as text (rationals as p/q)."""
-    return str(value.numerator if getattr(value, "denominator", None) == 1 else value)
-
-
 def _json_cell(value, as_string: bool) -> str:
     """One cell as JSON text; integers in string columns or above 2^53 are quoted."""
     if getattr(value, "denominator", None) == 1:  # an int, or a Fraction that is one
@@ -142,9 +137,10 @@ def _json_cell(value, as_string: bool) -> str:
 _STRING_COLUMNS = frozenset({"A", "B", "B_abs", "j"})
 
 
-def _emit(args, headers: list[str], rows: Iterable[tuple]) -> int:
-    """Write the rows, each a tuple in header order, and return the exit
-    code; csv and json write each row as it comes."""
+def _emit(args, headers: list[str], rows: Callable[[], Iterable[tuple]]) -> int:
+    """Write the rows that ``rows()`` returns, each a tuple in header order,
+    and return the exit code.  Every format writes row by row; the table
+    calls ``rows`` twice, first for its column widths."""
     try:
         out = open(args.output, "w") if args.output else sys.stdout
     except OSError as exc:
@@ -156,7 +152,7 @@ def _emit(args, headers: list[str], rows: Iterable[tuple]) -> int:
             # every cell is a scalar
             keys = [(f"    {json.dumps(h)}: ", h in _STRING_COLUMNS) for h in headers]
             first = True
-            for row in rows:
+            for row in rows():
                 cells = ",\n".join(
                     key + _json_cell(value, quoted) for (key, quoted), value in zip(keys, row)
                 )
@@ -166,17 +162,14 @@ def _emit(args, headers: list[str], rows: Iterable[tuple]) -> int:
         elif args.format == "csv":
             writer = csv.writer(out)
             writer.writerow(headers)
-            for row in rows:
-                writer.writerow(map(_fmt, row))
+            writer.writerows(rows())
         else:
-            cells = [list(map(_fmt, row)) for row in rows]
-            widths = [
-                max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-                for i, h in enumerate(headers)
-            ]
-            print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(), file=out)
-            for r in cells:
-                print("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip(), file=out)
+            widths = list(map(len, headers))
+            for row in rows():
+                widths = list(map(max, widths, map(len, map(str, row))))
+            print("  ".join(map(str.ljust, headers, widths)).rstrip(), file=out)
+            for row in rows():
+                print("  ".join(map(str.rjust, map(str, row), widths)).rstrip(), file=out)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -216,9 +209,8 @@ def cmd_count(args) -> int:
 # ---------------------------------------------------------- parametrize --
 
 # The most curves `parametrize` lists (only the square-free m count under
-# --squarefree-only).  csv and json stream their rows, but the table keeps
-# every cell for its column widths, and a listing at the budget already
-# takes seconds.
+# --squarefree-only).  Every format streams its rows (the table in two
+# passes), but a listing at the budget already takes seconds.
 _ROW_BUDGET = 10**6
 
 
@@ -243,11 +235,11 @@ def cmd_parametrize(args) -> int:
     def rows():
         for m in range(-bound, bound + 1):
             if m and (mu is None or mu[abs(m)]):
-                curve = families.curve_from_parameter(j, m)
+                curve = families._family_member(least, r, m)
                 # curve m has height |m|^r H(A_j, B_j)
                 yield m, curve.A, curve.B, abs(m) ** r * least_height
 
-    return _emit(args, ["m", "A", "B", "height"], rows())
+    return _emit(args, ["m", "A", "B", "height"], rows)
 
 
 # ---------------------------------------------------------------- twist --
@@ -273,7 +265,7 @@ def _table_cm_counts(spec: HeightSpec, bounds):
     table = cm.cm_count_table(spec, bounds or cm.DEFAULT_COUNT_BOUNDS)
     rows = [(r.disc, r.conductor, r.j, *r.counts) for r in table.rows]
     rows.append(("total", "", "", *table.totals))
-    return ["d_K", "f", "j"] + [f"X={_fmt(b)}" for b in table.bounds], rows
+    return ["d_K", "f", "j"] + [f"X={b}" for b in table.bounds], rows
 
 
 def _table_coefficients(spec: HeightSpec):
@@ -303,14 +295,14 @@ def cmd_tables(args) -> int:
               file=sys.stderr)
         return 2
     if args.name == "cm-minimal":
-        table = _table_cm_minimal(spec)
+        headers, rows = _table_cm_minimal(spec)
     elif args.name == "cm-counts":
-        table = _table_cm_counts(spec, args.bounds)
+        headers, rows = _table_cm_counts(spec, args.bounds)
     elif args.name == "coefficients":
-        table = _table_coefficients(spec)
+        headers, rows = _table_coefficients(spec)
     else:  # relative-error
-        table = _table_relative_error(spec, args.bounds)
-    return _emit(args, *table)
+        headers, rows = _table_relative_error(spec, args.bounds)
+    return _emit(args, headers, lambda: rows)
 
 
 # --------------------------------------------------------------- verify --
@@ -334,15 +326,11 @@ def cmd_verify(args) -> int:
         ("singular-locus", families.count_singular(spec, x), census.singular_points),
     ]
     for j in tracked:
-        tilde, rep = census.per_j[Fraction(j)]
-        checks.append((f"curves j={_fmt(Fraction(j))}", families.count_curves_with_j(j, spec, x), tilde))
-        checks.append(
-            (
-                f"representatives j={_fmt(Fraction(j))}",
-                families.count_representatives_with_j(j, spec, x),
-                rep,
-            )
-        )
+        tilde, rep = census.per_j[j]
+        checks += [
+            (f"curves j={j}", families.count_curves_with_j(j, spec, x), tilde),
+            (f"representatives j={j}", families.count_representatives_with_j(j, spec, x), rep),
+        ]
     failed = None
     for name, formula, scanned in checks:
         ok = formula == scanned
@@ -352,7 +340,7 @@ def cmd_verify(args) -> int:
     if failed is not None:
         print(f"mismatch in family: {failed}", file=sys.stderr)
         return 5
-    print(f"PASS  all formulas agree with the census of {census.box} at bound {_fmt(x)}")
+    print(f"PASS  all formulas agree with the census of {census.box} at bound {x}")
     return 0
 
 
@@ -411,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated j-invariants to track ('cm' = all thirteen)")
     p.add_argument("--workers", type=_parse_workers, default=1,
                    help="census stripes; above 1, scanned by a pool of at most one "
-                        "process per core (default: 1, serial)")
+                        "process per core (default: 1, serial).  The pool pays only for "
+                        "boxes far past the default NHC_ORACLE_CAP: below it, the pool "
+                        "takes longer to start than the serial scan takes")
     p.set_defaults(func=cmd_verify)
 
     return parser

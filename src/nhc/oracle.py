@@ -66,12 +66,9 @@ def _box_within_budget(spec: HeightSpec, bound: int | Fraction) -> HeightBox:
     return b
 
 
-def _roots(c: int, n: int, by: int) -> range | tuple[int, ...]:
-    """Every B in [-by, by] with c B^2 = n, in sorted order: all of them
-    when c = n = 0, otherwise at most B = +-sqrt(n / c), found by one divmod
-    and one integer square root."""
-    if c == 0:
-        return range(-by, by + 1) if n == 0 else ()
+def _roots(c: int, n: int, by: int) -> tuple[int, ...]:
+    """Every B in [-by, by] with c B^2 = n (c != 0), in sorted order: at most
+    B = +-sqrt(n / c), found by one divmod and one integer square root."""
     b2, r = divmod(n, c)
     root = math.isqrt(max(b2, 0))
     if r or root * root != b2 or root > by:

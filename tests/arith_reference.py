@@ -64,6 +64,9 @@ def curves_with_j(j: Fraction, b: HeightBox) -> Iterator[tuple[int, int]]:
     The candidates solve 27 j_num B^2 = (6912 j_den - 4 j_num) A^3: for
     j = 0 that is the A = 0 column, otherwise one square root per column.
     """
+    if j == 0:  # B != 0 on the A = 0 column
+        yield from ((0, bb) for bb in range(-b.y_bound, b.y_bound + 1) if bb)
+        return
     j_num, j_den = j.numerator, j.denominator
     for a in range(-b.x_bound, b.x_bound + 1):
         a3 = a**3

@@ -2,12 +2,14 @@
 documented exit codes and formats."""
 
 import concurrent.futures
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from types import SimpleNamespace
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import nhc.cli as cli
 from nhc import cm, exactarith, families
-from nhc.heights import CALIBRATED
+from nhc.heights import CALIBRATED, height, parse_height_spec
 
 
 # Two 31-digit primes: Pollard rho needs about 10^15 steps to split it.
@@ -85,6 +87,17 @@ class TestCount:
         code, _, err = run(capsys, "count", "--family", "j", "--bound", "100")
         assert code == 2
         assert "--j" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["parametrize", "--j", "abc", "--bound", "100"],
+        ["count", "--family", "j", "--j", "1/0", "--bound", "100"],
+        ["verify", "--bound", "100", "--j", "3,abc"],
+    ], ids=["letters", "zero-denominator", "in-a-list"])
+    def test_malformed_j_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "bad j-invariant" in capsys.readouterr().err
 
     def test_malformed_bound_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -175,7 +188,7 @@ class TestParametrize:
                            "--format", fmt)
         assert (code, out) == (0, empty)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_rows_are_written_as_they_come(self, fmt):
         out = io.StringIO()
         written = []  # the output so far, as each row is asked for
@@ -186,12 +199,51 @@ class TestParametrize:
                 yield m, -m, 10**20
 
         with redirect_stdout(out):
-            cli._emit(SimpleNamespace(format=fmt, output=None), ["m", "A", "B"], rows())
+            cli._emit(SimpleNamespace(format=fmt, output=None), ["m", "A", "B"], rows)
+        if fmt == "table":  # a first pass for the widths writes nothing
+            assert written[:3] == ["", "", ""]
+            del written[:3]
+            assert out.getvalue().splitlines() == [
+                "m  A   B", *(f"{m}  {-m:2}  {10**20}" for m in range(3))
+            ]
+        assert len(written) == 3
         assert 0 < len(written[1]) < len(written[2]) < len(out.getvalue())
         assert all(out.getvalue().startswith(w) for w in written)
         if fmt == "json":  # A is a coefficient column, so it is quoted too
             expected = [{"m": m, "A": str(-m), "B": str(10**20)} for m in range(3)]
             assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
+
+    def test_table_streams_its_rows(self, tmp_path):
+        # 2 * 10^4 rows; a table that kept a copy of every cell peaked at 7.2 MB
+        tracemalloc.start()
+        try:
+            code = cli.main(["parametrize", "--j", "0", "--height", "cal", "--bound", "2.7e9",
+                             "--output", str(tmp_path / "table.txt")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len((tmp_path / "table.txt").read_text().splitlines()) == 1 + 2 * 10**4
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_non_integer_heights(self, capsys, fmt):
+        spec = parse_height_spec("alpha/1:2,beta/1:3")
+        code, out, _ = run(capsys, "parametrize", "--j=-3375", "--height", "alpha/1:2,beta/1:3",
+                           "--bound", "1e9", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            rows = [tuple(r.values()) for r in json.loads(out)]
+        elif fmt == "csv":
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+        else:
+            rows = [line.split() for line in out.splitlines()[1:]]
+        assert len(rows) > 4
+        assert any(Fraction(h).denominator > 1 for *_, h in rows)
+        for m, a, b, h in rows:
+            curve = families.curve_from_parameter(-3375, int(m))
+            assert (int(a), int(b)) == curve
+            assert Fraction(h) == height(spec, curve)
 
     def test_squarefree_filter(self, capsys):
         code, out, _ = run(
@@ -382,9 +434,11 @@ class TestBrokenPipe:
     @pytest.mark.parametrize("argv, lines_read", [
         # more than a pipe buffer (64 KB) of csv: a write fails mid-listing
         (["parametrize", "--j", "0", "--bound", "1e9", "--format", "csv"], 1),
+        # the same listing as a table, written in its second pass
+        (["parametrize", "--j", "0", "--bound", "1e9"], 1),
         # one short line, still buffered when the command returns: the flush fails
         (["twist", "--", "-240", "1408"], 0),
-    ], ids=["write", "flush"])
+    ], ids=["write", "table", "flush"])
     def test_closed_pipe_exits_141_quietly(self, argv, lines_read):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

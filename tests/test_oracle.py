@@ -55,8 +55,6 @@ class TestCensus:
         assert oracle._roots(27, -4 * (-4) ** 3, 8) == ()  # 256 / 27 is no integer
         assert oracle._roots(27, 0, 5) == (0,)
         assert oracle._roots(-27, -108, 5) == (-2, 2)
-        assert oracle._roots(0, 0, 2) == range(-2, 3)  # j = 0 on the A = 0 column
-        assert oracle._roots(0, 6912, 2) == ()
 
     def test_fractional_j_tracking(self):
         j = Fraction(20, 3)
