@@ -137,6 +137,24 @@ def _json_cell(value, as_string: bool) -> str:
 _STRING_COLUMNS = frozenset({"A", "B", "B_abs", "j"})
 
 
+def _table_widths(headers: list[str], rows: Iterable[tuple]) -> list[int]:
+    """The width of each table column: its longest header or cell text.
+    The longest str of an int is that of the column's max or min, so only
+    those two ints are formatted; every other cell is formatted here."""
+    widths = list(map(len, headers))
+    lo, hi = [0] * len(headers), [0] * len(headers)  # str(0) fits any header
+    for row in rows:
+        for i, v in enumerate(row):
+            if type(v) is int:
+                if v > hi[i]:
+                    hi[i] = v
+                elif v < lo[i]:
+                    lo[i] = v
+            else:
+                widths[i] = max(widths[i], len(str(v)))
+    return [max(w, len(str(a)), len(str(b))) for w, a, b in zip(widths, lo, hi)]
+
+
 def _emit(args, headers: list[str], rows: Callable[[], Iterable[tuple]]) -> int:
     """Write the rows that ``rows()`` returns, each a tuple in header order,
     and return the exit code.  Every format writes row by row; the table
@@ -164,9 +182,7 @@ def _emit(args, headers: list[str], rows: Callable[[], Iterable[tuple]]) -> int:
             writer.writerow(headers)
             writer.writerows(rows())
         else:
-            widths = list(map(len, headers))
-            for row in rows():
-                widths = list(map(max, widths, map(len, map(str, row))))
+            widths = _table_widths(headers, rows())
             print("  ".join(map(str.ljust, headers, widths)).rstrip(), file=out)
             for row in rows():
                 print("  ".join(map(str.rjust, map(str, row), widths)).rstrip(), file=out)

@@ -194,8 +194,10 @@ class Factorization(NamedTuple):
         return int(v) if v.denominator == 1 else v
 
 
-# The last primes above _TRIAL_BOUND that factorize certified, oldest
-# first (a dict used as an insertion-ordered set), at most _KNOWN_PRIMES_CAP.
+# The last primes above _TRIAL_BOUND that factorize reported, oldest first
+# (a dict used as an insertion-ordered set), at most _KNOWN_PRIMES_CAP.
+# Those above _MR_DETERMINISTIC_BOUND passed 40 seeded Miller-Rabin rounds
+# only: they are probable primes, not proven ones.
 _KNOWN_PRIMES_CAP = 256
 _known_primes: dict[int, None] = {}
 
@@ -203,13 +205,14 @@ _known_primes: dict[int, None] = {}
 def factorize(n: int) -> Factorization:
     """Prime factorization of a nonzero integer.
 
-    Trial division by small primes, then division by the certified primes
-    that earlier calls reported (the last _KNOWN_PRIMES_CAP above
-    _TRIAL_BOUND; a fixed j factors the primes of a(j) again as those of
-    gcd(A, B)), then Miller-Rabin plus Pollard rho on whatever survives,
-    so every reported prime carries a primality certificate.  A composite
-    that rho cannot split within its budget of evaluations raises
-    ScanBudgetError.
+    Trial division by small primes, then division by the primes that
+    earlier calls reported (the last _KNOWN_PRIMES_CAP above _TRIAL_BOUND;
+    a fixed j factors the primes of a(j) again as those of gcd(A, B)), then
+    Miller-Rabin plus Pollard rho on whatever survives.  A reported prime
+    below about 3.3e24 is proven prime (Miller-Rabin is deterministic
+    there); a larger one passed 40 seeded Miller-Rabin rounds and is a
+    probable prime.  A composite that rho cannot split within its budget
+    of evaluations raises ScanBudgetError.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -261,8 +264,9 @@ def factorize_rational(q: Fraction) -> Factorization:
 # counts up to a calibrated cutoff of about 1e84.  By tracemalloc it holds
 # 10 MB, one signed byte per entry (a list would hold 80 MB), and peaks at
 # 30 MB while it is built; count_representatives(cal, 1e84) peaks at
-# 27 MB and builds no Mertens prefix, count_cm_representatives(cal, 1e72)
-# at 5 MB with a prefix of 890,899 entries.
+# 27 MB and builds no Mertens prefix (1.7-2.3 s in a fresh process on
+# 2 vCPU, the sieve included), count_cm_representatives(cal, 1e72) at
+# 5 MB with a prefix of 890,899 entries.
 _SIEVE_BUDGET = 10**7
 _sieve = array("b")
 # Mertens prefix of _sieve: _mertens[n] = moebius(1) + ... + moebius(n).

@@ -1,7 +1,7 @@
 """Definition-level arithmetic that only the tests need: the exponent of a
 prime in a rational, the k-free test by factoring, the term-by-term k-free
-sums that the blocked ones in the package must equal, and the least curves
-of a j found by scanning the height box."""
+and representative sums that the blocked ones in the package must equal,
+and the least curves of a j found by scanning the height box."""
 
 from collections.abc import Iterator
 from fractions import Fraction
@@ -47,6 +47,19 @@ def count_kfree_direct(limit: int, k: int) -> int:
     r = iroot(limit, k)
     mu = moebius_sieve(r)
     return sum(mu[d] * (limit // d**k) for d in range(1, r + 1) if mu[d])
+
+
+def count_representatives_direct(spec, bound) -> int:
+    """Moebius inversion over the twists, one box term per d up to
+    dmax = max(xb^(1/4), yb^(1/6))."""
+    xb, yb, s = families._count_core(spec, bound)
+    dmax = max(iroot(xb, 4), iroot(yb, 6))
+    mu = moebius_sieve(dmax)
+    return sum(
+        mu[d] * families._elliptic_in_box(xb // d**4, yb // d**6, s // d**2)
+        for d in range(1, dmax + 1)
+        if mu[d]
+    )
 
 
 def count_cm_representatives_direct(spec, bound) -> int:

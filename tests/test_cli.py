@@ -113,9 +113,12 @@ class TestCount:
 
     @pytest.mark.parametrize("argv", [
         ("count", "--family", "rep", "--bound", "1e200"),
+        # the first cutoff past the budget: the sieve to 89,089,871 is
+        # refused before any term of the sum
+        ("count", "--family", "rep", "--height", "cal", "--bound", "1e96"),
         ("count", "--family", "cm-rep", "--bound", "1e200"),
         ("parametrize", "--j", "54000", "--bound", "1e200", "--squarefree-only"),
-    ], ids=["rep", "cm-rep", "parametrize"])
+    ], ids=["rep", "rep-1e96", "cm-rep", "parametrize"])
     def test_oversized_sieve_refused(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)

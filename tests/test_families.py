@@ -43,7 +43,12 @@ from nhc.oracle import brute_census
 
 from arith_reference import curves_with_j
 
-from arith_reference import count_cm_representatives_direct, is_kfree, ord_p
+from arith_reference import (
+    count_cm_representatives_direct,
+    count_representatives_direct,
+    is_kfree,
+    ord_p,
+)
 
 CM_J = (
     0,
@@ -383,21 +388,54 @@ class TestGlobalCounts:
         spec = HeightSpec(alpha, beta)
         assert count_representatives(spec, x) == reference_count_representatives(spec, x)
 
-    # (representatives, CM representatives), computed before count_kfree was blocked
+    @given(
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+        st.integers(min_value=1, max_value=10**48),
+    )
+    # x = floor(xb / d^4) reaches 0 inside the blocks, before y does
+    @example(Fraction(60), Fraction(1, 12), 10**48)
+    # y = floor(yb / d^6) reaches 0 inside the blocks, before x does
+    @example(Fraction(1, 1000), Fraction(50), 10**48)
+    # every d is a head term: D = dmax = 5
+    @example(Fraction(4), Fraction(27), 10**9)
+    # dmax = 177 > X^(1/12) = 100, with blocks past D = 147
+    @example(Fraction(1, 1000), Fraction(1, 1000), 10**24)
+    def test_representatives_match_term_by_term_sum(self, alpha, beta, x):
+        spec = HeightSpec(alpha, beta)
+        assert count_representatives(spec, x) == count_representatives_direct(spec, x)
+
+    # (representatives, CM representatives), computed by term-by-term sums
+    # (to 10^54 before count_kfree was blocked, at 10^60 and 10^66 before
+    # count_representatives was)
     PINNED = {
         ("cal", 30): (4844620043512178762230798, 378350270173072),
         ("cal", 54): (484462004349754794037260558971803286254594932,
                       378338630327153418023539970),
+        ("cal", 60): (48446200434975479395015284669645501737197345330138,
+                      378338629279472918496881010504),
+        ("cal", 66): (4844620043497547939490711265016150963286723512868784892,
+                      378338629174704868647194282815790),
         ("cal", 72): (484462004349754793949036602372897186548036614631855293420996,
                       378338629164228063663255401470462886),
         ("ncal", 30): (39960256524727810750988628, 1965923663444322),
         ("ncal", 54): (3996025652276123128974802658499919381808359578,
                        1965905186377037646923509882),
+        ("ncal", 60): (399602565227612312702857264392060062733023537628382,
+                       1965905184713948520208816530522),
+        ("ncal", 66): (39960256522761231270090981096228554586338389379199266390,
+                       1965905184547639607668371986998250),
         ("ncal", 72): (3996025652276123127008903241978366501378753800139802318536938,
                        1965905184531008716415637780858598598),
         ("alpha/60:1,beta/1:12", 30): (35359149233598643134013694, 6810100045160950),
         ("alpha/60:1,beta/1:12", 54): (3535914923562681470198739146876344939688636228,
                                        6810095325407166678787113724),
+        ("alpha/60:1,beta/1:12", 60): (353591492356268146600337124986347460714674963538134,
+                                       6810095324982353050185656350486),
+        ("alpha/60:1,beta/1:12", 66): (
+            35359149235626814660657953779563503630372812748426679182,
+            6810095324939871687391731489307214,
+        ),
         ("alpha/60:1,beta/1:12", 72): (
             3535914923562681466065672143857541453318466170696498157932836,
             6810095324935623551113001212156032054,
