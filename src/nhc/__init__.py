@@ -9,7 +9,7 @@ brute-force census that independently verifies every formula.
 
 The public names below are loaded on first use, so an exact count never
 imports mpmath (``asymptotics``) or the census (``oracle``); only a census
-run on more than one worker loads its process pool, from
+whose box outweighs a pool's start-up loads its process pool, from
 ``concurrent.futures``.
 """
 

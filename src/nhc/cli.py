@@ -26,9 +26,9 @@ and json are written row by row, and the table format too, after a first
 pass over the rows for its column widths.
 
 mpmath (``asymptotics``) and the census (``oracle``) are imported only by
-the commands that use them, so the exact commands start without them.
-``verify`` scans serially; only ``--workers N`` with N > 1 starts the
-census process pool.
+the commands that use them, so the exact commands start without them, and
+``verify`` starts the census process pool only for a box that outweighs
+its start-up (on 2 vCPU, from about cal 2e12 with ``--j cm``).
 """
 
 from __future__ import annotations
@@ -98,12 +98,6 @@ def _parse_coefficient(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
 
 
-def _parse_workers(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {text!r}")
-    return int(text)
-
-
 def _parse_j(text: str) -> Fraction:
     if text.startswith("cm:"):
         disc, sep, conductor = text[3:].partition(":")
@@ -119,10 +113,12 @@ def _parse_j(text: str) -> Fraction:
 
 
 def _parse_j_list(text: str) -> list[Fraction]:
-    if text.strip().lower() == "cm":
-        return [Fraction(o.j) for o in cm.CM_ORDERS]
-    # a repeated j is checked once, in first-seen order
-    return list(dict.fromkeys(_parse_j(tok) for tok in text.split(",") if tok.strip()))
+    # "cm" is the thirteen CM j; a repeated j is checked once, in first-seen order
+    cm_js = [Fraction(o.j) for o in cm.CM_ORDERS]
+    js = []
+    for tok in filter(str.strip, text.split(",")):
+        js += cm_js if tok.strip().lower() == "cm" else [_parse_j(tok)]
+    return list(dict.fromkeys(js))
 
 
 def _json_cell(value, as_string: bool) -> str:
@@ -334,8 +330,7 @@ def cmd_verify(args) -> int:
         return 2
     spec, x = args.height, args.bound
     tracked = args.j or []
-    census = oracle.brute_census(spec, x, tracked_j=tracked, stripes=args.workers,
-                                 workers=args.workers)
+    census = oracle.brute_census(spec, x, tracked_j=tracked)
     checks = [
         ("curves", families.count_curves(spec, x), census.total_elliptic),
         ("representatives", families.count_representatives(spec, x), census.total_representatives),
@@ -413,11 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--j", type=_parse_j_list,
                    help="comma-separated j-invariants to track ('cm' = all thirteen)")
-    p.add_argument("--workers", type=_parse_workers, default=1,
-                   help="census stripes; above 1, scanned by a pool of at most one "
-                        "process per core (default: 1, serial).  The pool pays only for "
-                        "boxes far past the default NHC_ORACLE_CAP: below it, the pool "
-                        "takes longer to start than the serial scan takes")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -17,8 +17,8 @@ None of the counting formulas being verified enter the scan.
 
 The scan is embarrassingly parallel over stripes of the A-range, and the
 merge is plain integer addition, so the result is identical for any stripe
-count or worker count.  Scans are refused above a lattice-point budget
-(override with the NHC_ORACLE_CAP environment variable).
+count or worker count, both chosen from the box by default.  Scans are
+refused above a lattice-point budget (NHC_ORACLE_CAP overrides it).
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from typing import NamedTuple
 
 from .exactarith import ScanBudgetError, _small_primes
 from .heights import CALIBRATED, HeightBox, HeightSpec, box
+
+_COLUMN_COST = 3  # a column's own count, in tracked-j checks (2.4-2.9 at cal 1e13-1e15)
+_POOL_WORK = 120_000  # the column checks that pay for one pool worker's start-up
 
 
 def scan_budget() -> int:
@@ -128,21 +131,27 @@ def brute_census(
     bound: int | Fraction,
     tracked_j=(),
     *,
-    stripes: int = 1,
-    workers: int = 1,
+    stripes: int | None = None,
+    workers: int | None = None,
 ) -> CensusResult:
     """Count every lattice point of the height box, column by column.
 
     One pass over the A columns counts the singular points, the elliptic
     curves, their representatives and each tracked j's (curves,
-    representatives).  The box is cut into ``stripes`` A-ranges, scanned by
-    a pool of at most min(workers, os.cpu_count()) processes when workers > 1.
+    representatives).  The box is cut into ``stripes`` A-ranges (default
+    ``workers``), scanned by a pool of at most min(workers, os.cpu_count())
+    processes when workers > 1 (default 1 beside ``stripes``).  With neither,
+    one worker per _POOL_WORK of columns x (_COLUMN_COST + tracked j): on 2
+    vCPU a pool starts from cal 2e12 with the 13 CM j or cal 2.6e14 alone.
     """
     b = _box_within_budget(spec, bound)
     width = 2 * b.x_bound + 1
-    stripes = min(max(1, stripes), width)
-    cuts = [-b.x_bound + (width * i) // stripes for i in range(stripes + 1)]
     js = tuple(dict.fromkeys(map(Fraction, tracked_j)))  # a repeated j is counted once
+    if workers is None:
+        work = width * (_COLUMN_COST + len(js))
+        workers = min(os.cpu_count() or 1, max(1, work // _POOL_WORK)) if stripes is None else 1
+    stripes = min(max(1, workers if stripes is None else stripes), width)
+    cuts = [-b.x_bound + (width * i) // stripes for i in range(stripes + 1)]
     jobs = [(cuts[i], cuts[i + 1] - 1, b.y_bound, js) for i in range(stripes)]
 
     if workers > 1 and len(jobs) > 1:

@@ -461,20 +461,20 @@ class TestBrokenPipe:
 class TestVerify:
     def test_small_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--height", "cal", "--bound", "1e4",
-                           "--j", "0,1728,-3375", "--workers", "1")
+                           "--j", "0,1728,-3375")
         assert code == 0
         assert "PASS  all formulas agree" in out
         assert "FAIL" not in out
 
     def test_repeated_j_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--height", "cal", "--bound", "1e4",
-                           "--j", "0,0,1728", "--workers", "1")
+                           "--j", "0,0,1728")
         assert code == 0
         assert "FAIL" not in out
 
     def test_alias_of_a_listed_j_checks_it_once(self, capsys):
         code, out, _ = run(capsys, "verify", "--height", "cal", "--bound", "1e5",
-                           "--j", "54000,cm:-3:2", "--workers", "1")
+                           "--j", "54000,cm:-3:2")
         assert code == 0
         assert out == (
             "PASS  curves: formula=7132 census=7132\n"
@@ -487,10 +487,18 @@ class TestVerify:
         )
 
     def test_cm_keyword_tracks_thirteen(self, capsys):
-        code, out, _ = run(capsys, "verify", "--height", "ncal", "--bound", "100",
-                           "--j", "cm", "--workers", "1")
+        code, out, _ = run(capsys, "verify", "--height", "ncal", "--bound", "100", "--j", "cm")
         assert code == 0
         assert out.count("curves j=") == 13
+
+    @pytest.mark.parametrize("js, first", [("3/7,cm", ["3/7"]), ("cm,0", [])])
+    def test_cm_keyword_inside_a_list(self, capsys, js, first):
+        # "cm" expands where it stands; each j is tracked once, in first-seen order
+        code, out, _ = run(capsys, "verify", "--height", "ncal", "--bound", "100", "--j", js)
+        assert code == 0
+        assert "FAIL" not in out
+        tracked = [line.split()[2][2:-1] for line in out.splitlines() if " curves j=" in line]
+        assert tracked == first + [str(Fraction(o.j)) for o in cm.CM_ORDERS]
 
     def test_default_is_serial(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -502,31 +510,34 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_budget_refusal_exits_6(self, capsys):
-        code, _, err = run(capsys, "verify", "--height", "cal", "--bound", "1e12",
-                           "--workers", "1")
+        code, _, err = run(capsys, "verify", "--height", "cal", "--bound", "1e12")
         assert code == 6
         assert "lattice points" in err
 
     @pytest.mark.parametrize("value", ["abc", "-5", "1e9"])
     def test_bad_oracle_cap_exits_2(self, capsys, monkeypatch, value):
         monkeypatch.setenv("NHC_ORACLE_CAP", value)
-        code, out, err = run(capsys, "verify", "--bound", "100", "--workers", "1")
+        code, out, err = run(capsys, "verify", "--bound", "100")
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "NHC_ORACLE_CAP" in err
 
-    @pytest.mark.parametrize("value", ["0", "-3", "two"])
-    def test_workers_below_one_exits_2(self, capsys, value):
+    def test_workers_is_no_option(self, capsys):
+        # the census chooses its own pool from the box
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--bound", "100", "--workers", value])
+            cli.main(["verify", "--bound", "100", "--workers", "2"])
         assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --workers 2" in err.splitlines()[-1]
+        assert "Traceback" not in err
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        assert "--workers" not in capsys.readouterr().out
 
     def test_mismatch_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr(families, "count_curves", lambda spec, x: 10**9)
-        code, out, err = run(capsys, "verify", "--height", "cal", "--bound", "100",
-                             "--workers", "1")
+        code, out, err = run(capsys, "verify", "--height", "cal", "--bound", "100")
         assert code == 5
         assert "mismatch in family: curves" in err
         assert "FAIL" in out
@@ -589,7 +600,6 @@ COMMANDS = st.one_of(
         st.just("verify"), _flag("--height", HEIGHTS),
         _flag("--bound", st.one_of(st.integers(1, 10**4), st.just(10**200)).map(str)),
         _flag("--j", st.one_of(st.just("cm"), st.lists(J_VALUES, max_size=3).map(",".join))),
-        st.just("--workers=1"),
     ),
 ).map(list)
 

@@ -55,7 +55,7 @@ def matrix() -> list[list[str]]:
     for spec in SPECS:
         for bound in ("1", "100", "1e5"):
             for js in ((), ("--j", "cm")):
-                out.append(["verify", "--workers", "1", "--height", spec, "--bound", bound, *js])
+                out.append(["verify", "--height", spec, "--bound", bound, *js])
     for family in ("rep", "cm-rep"):  # oversized Moebius sieves are refused
         out.append(["count", "--family", family, "--bound", "1e200"])
     # later additions go below, so the records above stay as first recorded

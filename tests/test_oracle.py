@@ -18,6 +18,33 @@ from nhc.oracle import ScanBudgetError, brute_census, scan_budget
 from arith_reference import brute_minimal, curves_with_j
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A process pool that maps in this process on 3 cores.  The list it
+    returns records, for each pool, its max_workers and then its job count."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            pools.append(len(jobs))
+            return map(fn, jobs)
+
+    # the pooled branch imports the executor when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    return pools
+
+
 class TestCensus:
     def test_calibrated_7000_box(self):
         c = brute_census(CALIBRATED, 7000)
@@ -75,34 +102,33 @@ class TestCensus:
         )
         assert parallel == serial
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
+    def test_pool_capped_at_cpu_count(self, fake_pool):
         # the stripe count stays as requested; only the pool size is capped
-        pools = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                jobs = list(jobs)
-                pools.append(len(jobs))
-                return map(fn, jobs)
-
-        # the pooled branch imports the executor when it runs
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
         serial = brute_census(UNCALIBRATED, 10**3, tracked_j=[0, 1728, -3375])
         pooled = brute_census(
             UNCALIBRATED, 10**3, tracked_j=[0, 1728, -3375], stripes=8, workers=64
         )
-        assert pools == [3, 8]
+        assert fake_pool == [3, 8]
         assert pooled == serial
+
+    @pytest.mark.parametrize("cpus, pool_work, pools", [
+        (3, lambda work: work // 2, [2, 2]),  # two workers' work: two workers, a stripe each
+        (3, lambda work: work // 2 + 1, []),  # short of two workers' work: serial
+        (3, lambda work: work // 7, [3, 3]),  # seven workers' work, capped at the cores
+        (1, lambda work: work // 7, []),  # one core: never a pool
+    ], ids=["two", "below-two", "capped", "one-core"])
+    def test_pool_chosen_from_the_box(self, fake_pool, monkeypatch, cpus, pool_work, pools):
+        js = [0, 1728, -3375]
+        serial = brute_census(UNCALIBRATED, 10**3, tracked_j=js, stripes=1)
+        work = (2 * serial.box.x_bound + 1) * (oracle._COLUMN_COST + len(js))
+        monkeypatch.setattr(oracle, "_POOL_WORK", pool_work(work))
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+        assert brute_census(UNCALIBRATED, 10**3, tracked_j=js) == serial
+        assert fake_pool == pools
+
+    def test_workers_alone_set_the_stripes(self, fake_pool):
+        brute_census(UNCALIBRATED, 10**3, workers=2)
+        assert fake_pool == [2, 2]
 
     def test_census_imports_no_formula_code(self):
         imported = {

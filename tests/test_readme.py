@@ -1,0 +1,47 @@
+"""README examples run as written: the library quick start through doctest,
+and each ``nhc`` line of the command-line block through ``cli.main``, with
+its stdout compared against the line's ``# -> X`` comment."""
+
+import doctest
+import os
+import re
+import shlex
+
+import pytest
+
+import nhc.cli as cli
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _block(heading: str, lang: str) -> str:
+    """The body of the first ``lang`` code fence under the ``heading`` section."""
+    with open(README) as fh:
+        text = fh.read()
+    section = text[text.index(f"\n## {heading}\n"):]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_quick_start_doctest():
+    test = doctest.DocTestParser().get_doctest(
+        _block("Library quick start", "python"), {}, "README quick start", README, 0
+    )
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert test.examples
+    assert runner.summarize(verbose=False).failed == 0
+
+
+COMMAND_LINES = [line for line in _block("Command line", "sh").splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", COMMAND_LINES, ids=lambda line: line.split("#")[0].strip())
+def test_command_line_example(line, capsys, monkeypatch, tmp_path):
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)
+    assert argv[0] == "nhc"
+    monkeypatch.chdir(tmp_path)  # for --output files
+    assert cli.main(argv[1:]) == 0
+    out = capsys.readouterr().out
+    if comment.strip().startswith("->"):
+        assert out == comment.strip()[2:].strip() + "\n"
