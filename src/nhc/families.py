@@ -18,7 +18,9 @@ curve (A_j, B_j), and the whole family is
 
     (m^(r/3) A_j, m^(r/2) B_j),   m in Z \\ {0},   height |m|^r H(A_j, B_j),
 
-with the representatives being exactly the (12/r)-free m.  For j = 0 the
+with the representatives being exactly the (12/r)-free m.  Every count
+tests height through ``heights.box`` alone: curve m lies in the box iff
+|m|^(r/3) |A_j| <= xb and |m|^(r/2) |B_j| <= yb.  For j = 0 the
 least curve is (0, 1) with r = 2; for j = 1728 it is (1, 0) with r = 3.
 Any other j has r = 6: (A, B) has invariant j exactly when B^2 = a A^3
 with a = 4(1728 - j)/(27 j), and the lattice step of that cuspidal cubic
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 from .cuspidal import cubic_param
 from .exactarith import count_kfree, factorize, iroot, moebius_sieve
-from .heights import HeightSpec, box, height
+from .heights import HeightBox, HeightSpec, box, height
 
 
 class WeierstrassCurve(NamedTuple):
@@ -150,14 +152,11 @@ def _family_member(least: WeierstrassCurve, r: int, m: int) -> WeierstrassCurve:
     return WeierstrassCurve(m ** (r // 3) * least.A, m ** (r // 2) * least.B)
 
 
-def _max_parameter(
-    least: WeierstrassCurve, r: int, spec: HeightSpec, bound: int | Fraction
-) -> int:
-    x = Fraction(bound)
-    if x <= 0:
-        raise ValueError("height bound must be positive")
-    h = height(spec, least)  # floor(x / h) in integers, then its r-th root
-    return iroot(x.numerator * h.denominator // (x.denominator * h.numerator), r)
+def _max_parameter(least: WeierstrassCurve, r: int, b: HeightBox) -> int:
+    """The largest m >= 0 whose curve lies in b: the least iroot(edge // |c|, e)
+    over the least curve's nonzero coordinates c, exponents e and box edges."""
+    return min(iroot(edge // abs(c), e) for c, e, edge in
+               ((least.A, r // 3, b.x_bound), (least.B, r // 2, b.y_bound)) if c)
 
 
 def curve_from_parameter(j: int | Fraction, m: int) -> WeierstrassCurve:
@@ -169,12 +168,9 @@ def curve_from_parameter(j: int | Fraction, m: int) -> WeierstrassCurve:
 
 
 def param_bound(j: int | Fraction, spec: HeightSpec, bound: int | Fraction) -> int:
-    """Largest |m| whose curve stays within height <= bound (0 if none).
-
-    Equivalently: m is admissible iff height(curve_from_parameter(j, m))
-    is at most the cutoff.
-    """
-    return _max_parameter(*_least_curve(j), spec, bound)
+    """Largest |m| whose curve lies in the height box of bound (0 if none):
+    equivalently, whose height is at most bound."""
+    return _max_parameter(*_least_curve(j), box(spec, bound))
 
 
 def count_curves_with_j(j: int | Fraction, spec: HeightSpec, bound: int | Fraction) -> int:
@@ -189,7 +185,7 @@ def count_representatives_with_j(
     and height <= bound: twice the number of (12/r)-free m <= param_bound
     (6-free, 4-free, square-free as j = 0, 1728, generic)."""
     least, r = _least_curve(j)
-    return 2 * count_kfree(_max_parameter(least, r, spec, bound), 12 // r)
+    return 2 * count_kfree(_max_parameter(least, r, box(spec, bound)), 12 // r)
 
 
 def _count_core(spec: HeightSpec, bound: int | Fraction) -> tuple[int, int, int]:

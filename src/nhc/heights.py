@@ -13,15 +13,17 @@ deliberately does not attempt).
 
 H(A, B) <= X cuts out a rectangle: |A| <= (X/alpha)^(1/3) and
 |B| <= (X/beta)^(1/2).  ``box`` returns the integer corner floors, so a
-lattice point satisfies the height bound iff it lies inside the box.
+lattice point satisfies the height bound iff it lies inside the box; the
+box is every count's only height test.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactarith import floor_rational_root
+from .exactarith import iroot
 
 
 class _Weights(NamedTuple):
@@ -59,14 +61,14 @@ def height(spec: HeightSpec, curve: tuple[int, int]) -> Fraction:
 
 
 def box(spec: HeightSpec, bound: int | Fraction) -> HeightBox:
-    """The exact lattice box of the region height <= bound."""
-    x = Fraction(bound)
-    if x <= 0:
+    """The exact lattice box of the region height <= bound = n/d: for a
+    weight w, m^k <= n / (d w) iff m^k <= (n w.den) // (d w.num)."""
+    n, d = Fraction(bound).as_integer_ratio()
+    if n <= 0:
         raise ValueError("height bound must be positive")
-    return HeightBox(
-        x_bound=floor_rational_root(x / spec.alpha, 3),
-        y_bound=floor_rational_root(x / spec.beta, 2),
-    )
+    a, b = spec.alpha, spec.beta
+    return HeightBox(iroot(n * a.denominator // (d * a.numerator), 3),
+                     math.isqrt(n * b.denominator // (d * b.numerator)))
 
 
 def parse_height_spec(text: str) -> HeightSpec:

@@ -15,7 +15,7 @@ B = +-sqrt(...), found by the same square root, confirmed against the
 definition, and a representative iff no modulus of the column divides B.
 None of the counting formulas being verified enter the scan.
 
-The scan is embarrassingly parallel over stripes of the A-range, and the
+The scan is embarrassingly parallel over stripes of the A columns, and the
 merge is plain integer addition, so the result is identical for any stripe
 count or worker count, both chosen from the box by default.  Scans are
 refused above a lattice-point budget (NHC_ORACLE_CAP overrides it).
@@ -90,18 +90,19 @@ def _multiples(mods: list[int], n: int, i: int = 0) -> int:
     return total
 
 
-def _scan_stripe(args: tuple[int, int, int, tuple[Fraction, ...]]) -> tuple[int, ...]:
+def _scan_stripe(args: tuple[range, int, tuple[Fraction, ...]]) -> tuple[int, ...]:
     """(singular, elliptic, representatives, then the curves and the
-    representatives of each tracked j) over A in [a_lo, a_hi] x B in [-by, by]."""
-    a_lo, a_hi, by, js = args
-    quartics = [(p**4, p**6) for p in _small_primes() if p**4 <= max(abs(a_lo), abs(a_hi))]
+    representatives of each tracked j) over the columns A x B in [-by, by]."""
+    columns, by, js = args
+    quartics = [(p**4, p**6) for p in _small_primes()
+                if p**4 <= max(abs(columns[0]), abs(columns[-1]))]
     zero_mods = [p**6 for p in _small_primes() if p**6 <= by]  # every p^4 divides A = 0
     solve = [(k, 27 * j.numerator, 6912 * j.denominator - 4 * j.numerator, j.numerator,
               6912 * j.denominator) for k, j in enumerate(js) if j]
     j0 = js.index(0) if 0 in js else None
     singular = elliptic = reps = 0
     tally = [0] * (2 * len(js))
-    for a in range(a_lo, a_hi + 1):
+    for a in columns:
         a3 = a**3
         mods = [q6 for q4, q6 in quartics if a % q4 == 0] if a else zero_mods
         sing = _roots(27, -4 * a3, by)  # 27 B^2 = -4 A^3
@@ -138,9 +139,10 @@ def brute_census(
 
     One pass over the A columns counts the singular points, the elliptic
     curves, their representatives and each tracked j's (curves,
-    representatives).  The box is cut into ``stripes`` A-ranges (default
-    ``workers``), scanned by a pool of at most min(workers, os.cpu_count())
-    processes when workers > 1 (default 1 beside ``stripes``).  With neither,
+    representatives).  Stripe i of ``stripes`` (default ``workers``) takes
+    every stripes-th column from A = -xb + i, so the stripes cost alike; a
+    pool of at most min(workers, os.cpu_count()) processes scans them when
+    workers > 1 (default 1 beside ``stripes``).  With neither,
     one worker per _POOL_WORK of columns x (_COLUMN_COST + tracked j): on 2
     vCPU a pool starts from cal 2e12 with the 13 CM j or cal 2.6e14 alone.
     """
@@ -151,8 +153,7 @@ def brute_census(
         work = width * (_COLUMN_COST + len(js))
         workers = min(os.cpu_count() or 1, max(1, work // _POOL_WORK)) if stripes is None else 1
     stripes = min(max(1, workers if stripes is None else stripes), width)
-    cuts = [-b.x_bound + (width * i) // stripes for i in range(stripes + 1)]
-    jobs = [(cuts[i], cuts[i + 1] - 1, b.y_bound, js) for i in range(stripes)]
+    jobs = [(range(-b.x_bound + i, b.x_bound + 1, stripes), b.y_bound, js) for i in range(stripes)]
 
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled census pays for it

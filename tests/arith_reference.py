@@ -1,7 +1,8 @@
 """Definition-level arithmetic that only the tests need: the exponent of a
 prime in a rational, the k-free test by factoring, the term-by-term k-free
 and representative sums that the blocked ones in the package must equal,
-and the least curves of a j found by scanning the height box."""
+the fixed-j parameter bound from the height of the least curve, and the
+least curves of a j found by scanning the height box."""
 
 from collections.abc import Iterator
 from fractions import Fraction
@@ -62,12 +63,22 @@ def count_representatives_direct(spec, bound) -> int:
     )
 
 
+def max_parameter_direct(least, r: int, spec: HeightSpec, bound) -> int:
+    """The largest m >= 0 with |m|^r H(least) <= bound: floor(bound / H) in
+    integers, then its r-th root."""
+    x = Fraction(bound)
+    if x <= 0:
+        raise ValueError("height bound must be positive")
+    h = height(spec, least)
+    return iroot(x.numerator * h.denominator // (x.denominator * h.numerator), r)
+
+
 def count_cm_representatives_direct(spec, bound) -> int:
     """Twice the (12/r)-free parameters of each CM family, by count_kfree_direct."""
     total = 0
     for order in CM_ORDERS:
         least, r = families._least_curve(order.j)
-        total += 2 * count_kfree_direct(families._max_parameter(least, r, spec, bound), 12 // r)
+        total += 2 * count_kfree_direct(max_parameter_direct(least, r, spec, bound), 12 // r)
     return total
 
 

@@ -47,6 +47,7 @@ from arith_reference import (
     count_cm_representatives_direct,
     count_representatives_direct,
     is_kfree,
+    max_parameter_direct,
     ord_p,
 )
 
@@ -283,6 +284,28 @@ class TestParametrization:
                 if bound:
                     assert height(CALIBRATED, curve_from_parameter(j, bound)) <= x
                 assert height(CALIBRATED, curve_from_parameter(j, bound + 1)) > x
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from((0, 1728)),
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**48, max_denominator=10**6),
+    )
+    # X = |m|^r H(least) exactly, and just below it: H is beta for j = 0
+    # (least curve (0, 1), r = 2) and alpha for j = 1728 ((1, 0), r = 3)
+    @example(0, Fraction(3, 7), Fraction(11, 5), 12345**2 * Fraction(11, 5))
+    @example(0, Fraction(3, 7), Fraction(11, 5), 12345**2 * Fraction(11, 5) - Fraction(1, 10**6))
+    @example(0, Fraction(4), Fraction(27), Fraction(27 * 10**24))
+    @example(0, Fraction(4), Fraction(27), Fraction(27 * 10**24 - 1))
+    @example(1728, Fraction(37, 5), Fraction(11, 7), 9999**3 * Fraction(37, 5))
+    @example(1728, Fraction(37, 5), Fraction(11, 7), 9999**3 * Fraction(37, 5) - Fraction(1, 10**6))
+    @example(1728, Fraction(1, 1000), Fraction(1000), Fraction(10**36))
+    @example(1728, Fraction(1, 1000), Fraction(1000), Fraction(10**36) - Fraction(1, 10**6))
+    def test_special_j_bound_matches_height_reference(self, j, alpha, beta, x):
+        spec = HeightSpec(alpha, beta)
+        least, r = families._least_curve(j)
+        assert param_bound(j, spec, x) == max_parameter_direct(least, r, spec, x)
 
 
 class TestFixedJCounts:

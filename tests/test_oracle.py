@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from nhc import oracle
+from nhc import heights, oracle
 from nhc.heights import CALIBRATED, UNCALIBRATED, HeightSpec, box, height
 from nhc.oracle import ScanBudgetError, brute_census, scan_budget
 
@@ -95,6 +95,13 @@ class TestCensus:
         result = brute_census(CALIBRATED, 10**4, tracked_j=[0, 1728, -3375], stripes=stripes)
         assert result == baseline
 
+    def test_stripe_ends_short_of_a_quartic(self):
+        # xb = 16, yb = 64: the first of 3 stripes, -16, -13, ..., 14, ends
+        # below 2^4, yet its column A = -16 has the twists (-16, 0), (-16, +-64)
+        c = brute_census(UNCALIBRATED, 4096, stripes=3)
+        assert c.box == (16, 64)
+        assert c == brute_census(UNCALIBRATED, 4096, stripes=1)
+
     def test_parallel_workers_match_serial(self):
         serial = brute_census(UNCALIBRATED, 10**3, tracked_j=[0, -3375])
         parallel = brute_census(
@@ -131,12 +138,41 @@ class TestCensus:
         assert fake_pool == [2, 2]
 
     def test_census_imports_no_formula_code(self):
-        imported = {
-            node.module
-            for node in ast.walk(ast.parse(inspect.getsource(oracle)))
-            if isinstance(node, ast.ImportFrom) and node.level
-        }
-        assert imported == {"exactarith", "heights"}
+        # the census reads only the primitives and the height box, and the
+        # box only the primitives, so neither can call the formulas checked
+        assert nhc_imports(inspect.getsource(oracle)) == {"exactarith", "heights"}
+        assert nhc_imports(inspect.getsource(heights)) == {"exactarith"}
+
+    def test_import_reader_sees_every_form(self):
+        source = """
+import math, nhc, nhc.cm
+from fractions import Fraction
+from .exactarith import iroot
+from . import families
+from nhc.heights import box
+from nhc import asymptotics
+def f():
+    from .cuspidal import cubic_param
+"""
+        assert nhc_imports(source) == {"nhc", "cm", "exactarith", "families", "heights",
+                                       "asymptotics", "cuspidal"}
+
+
+def nhc_imports(source: str) -> set[str]:
+    """The nhc modules that a module's source imports, relatively or by name
+    ("nhc" for the package itself)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x / from . import x
+            found.update([node.module.split(".")[0]] if node.module else
+                         [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "nhc":
+            found.update([node.module.split(".")[1]] if "." in node.module else
+                         [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] if "." in alias.name else alias.name
+                         for alias in node.names if alias.name.split(".")[0] == "nhc")
+    return found
 
 
 def _listed_twists(a: int, by: int) -> int:
@@ -164,7 +200,7 @@ class TestTwistCount:
 
     @staticmethod
     def counted(a: int, by: int) -> int:
-        _singular, elliptic, reps = oracle._scan_stripe((a, a, by, ()))
+        _singular, elliptic, reps = oracle._scan_stripe((range(a, a + 1), by, ()))
         return elliptic - reps
 
     @pytest.mark.parametrize(
