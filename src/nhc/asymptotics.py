@@ -12,7 +12,9 @@ Here (A_j, B_j) is the least curve with invariant j and r = 2, 3, 6 as
 j = 0, 1728, generic (see ``families``); for generic j the coefficient
 c(j) = H(A_j, B_j)^(-1/6) is evaluated from that exact rational at high
 precision.  Dropping the zeta factors gives the corresponding main terms
-for the families of all curves (not just representatives).
+for the families of all curves (not just representatives).  Each main term
+builds its own: from the all-j term or the fixed-j term 2 (X / H)^(1/r),
+which the CM terms sum over the thirteen CM invariants.
 
 Everything returns mpmath floats computed at 50 digits; ``float()`` them
 freely.
@@ -72,60 +74,61 @@ def cm_coefficient_sum(spec: HeightSpec) -> mpmath.mpf:
         )
 
 
-def _main_term(
-    family: str | int | Fraction, spec: HeightSpec, bound: int | Fraction, representatives: bool
-) -> mpmath.mpf:
-    """Leading term of a family's count at height cutoff bound.
+def _all_curves_term(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
+    """4 (X / alpha)^(1/3) (X / beta)^(1/2), at the caller's precision."""
+    x = _mpf(bound)
+    return 4 * mpmath.cbrt(x / _mpf(spec.alpha)) * mpmath.sqrt(x / _mpf(spec.beta))
 
-    family is "all", "cm" (the sum over the thirteen CM invariants) or a
-    fixed j-invariant.  Representative counts carry the factor 1/zeta(s) of
-    the family's density: s = 10 for all curves, 12/r for fixed j.
-    """
-    with mpmath.workdps(_DPS):
-        if family == "cm":
-            return mpmath.fsum(_main_term(o.j, spec, bound, representatives) for o in CM_ORDERS)
-        x = _mpf(bound)
-        if family == "all":
-            s = _DENSITY_ZETA["all"]
-            term = 4 * mpmath.cbrt(x / _mpf(spec.alpha)) * mpmath.sqrt(x / _mpf(spec.beta))
-        else:
-            least, r = _least_curve(family)
-            s, term = 12 // r, 2 * mpmath.root(x / _mpf(height(spec, least)), r)
-        return term / zeta_value(s) if representatives else term
+
+def _fixed_j_term(
+    j: int | Fraction, spec: HeightSpec, bound: int | Fraction
+) -> tuple[mpmath.mpf, int]:
+    """(2 (X / H(A_j, B_j))^(1/r), 12 // r): the all-curves term and the s of
+    the representatives' density 1/zeta(s), at the caller's precision."""
+    least, r = _least_curve(j)
+    return 2 * mpmath.root(_mpf(bound) / _mpf(height(spec, least)), r), 12 // r
 
 
 def main_term_representatives(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Leading term of the representative count over all j."""
-    return _main_term("all", spec, bound, True)
+    with mpmath.workdps(_DPS):
+        return _all_curves_term(spec, bound) / zeta_value(_DENSITY_ZETA["all"])
 
 
 def main_term_curves(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Leading term of the all-curves count (no zeta factor)."""
-    return _main_term("all", spec, bound, False)
+    with mpmath.workdps(_DPS):
+        return _all_curves_term(spec, bound)
 
 
 def main_term_representatives_with_j(
     j: int | Fraction, spec: HeightSpec, bound: int | Fraction
 ) -> mpmath.mpf:
     """Leading term of the fixed-j representative count."""
-    return _main_term(Fraction(j), spec, bound, True)
+    with mpmath.workdps(_DPS):
+        term, s = _fixed_j_term(j, spec, bound)
+        return term / zeta_value(s)
 
 
 def main_term_curves_with_j(
     j: int | Fraction, spec: HeightSpec, bound: int | Fraction
 ) -> mpmath.mpf:
     """Leading term of the fixed-j all-curves count."""
-    return _main_term(Fraction(j), spec, bound, False)
+    with mpmath.workdps(_DPS):
+        return _fixed_j_term(j, spec, bound)[0]
 
 
 def cm_asymptotic(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Three-term expansion of the CM representative count."""
-    return _main_term("cm", spec, bound, True)
+    with mpmath.workdps(_DPS):
+        terms = (_fixed_j_term(o.j, spec, bound) for o in CM_ORDERS)
+        return mpmath.fsum(term / zeta_value(s) for term, s in terms)
 
 
 def cm_curves_asymptotic(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Three-term expansion of the CM all-curves count (no zeta factors)."""
-    return _main_term("cm", spec, bound, False)
+    with mpmath.workdps(_DPS):
+        return mpmath.fsum(_fixed_j_term(o.j, spec, bound)[0] for o in CM_ORDERS)
 
 
 def density_limit(family: str) -> float:

@@ -43,7 +43,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from . import cm, families
-from .exactarith import ScanBudgetError, count_kfree, moebius_sieve
+from .exactarith import ScanBudgetError, moebius_sieve
 from .families import SingularCurveError, SpecialJError, WeierstrassCurve
 from .heights import HeightSpec, height, parse_height_spec
 
@@ -232,12 +232,14 @@ def cmd_parametrize(args) -> int:
         raise SpecialJError(
             "the square-free parameter rule belongs to the generic fixed-j "
             "family; j = 0 and j = 1728 representatives are 6-free/4-free "
-            "instead (use `count --family rep`)"
+            "instead"
         )
-    bound = families.param_bound(j, spec, x)
-    listed = 2 * (count_kfree(bound, 2) if args.squarefree_only else bound)
+    count = (families.count_representatives_with_j if args.squarefree_only
+             else families.count_curves_with_j)
+    listed = count(j, spec, x)
     if listed > _ROW_BUDGET:
         raise ScanBudgetError(f"listing {listed} curves exceeds the budget of {_ROW_BUDGET} rows")
+    bound = families.param_bound(j, spec, x)
     mu = moebius_sieve(bound) if args.squarefree_only else None
     least, r = families._least_curve(j)
     least_height = height(spec, least)

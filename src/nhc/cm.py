@@ -6,8 +6,9 @@ order given by a fundamental discriminant and a conductor.  The pairing
 below is fixed classical data.
 
 Counting CM curves up to a height cutoff is the sum of the thirteen
-fixed-j counts, and the same for representatives.  The table builders
-reproduce that data for arbitrary weights and cutoffs.
+fixed-j counts in the one height box of that cutoff, and the same for
+representatives.  The table builders reproduce that data for arbitrary
+weights and cutoffs.
 """
 
 from __future__ import annotations
@@ -15,13 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .families import (
-    WeierstrassCurve,
-    count_curves_with_j,
-    count_representatives_with_j,
-    minimal_curves,
-)
-from .heights import HeightSpec
+from .families import WeierstrassCurve, _curves_in, _representatives_in, minimal_curves
+from .heights import HeightSpec, box
 
 
 class CmOrder(NamedTuple):
@@ -56,13 +52,15 @@ def cm_order(disc: int, conductor: int = 1) -> CmOrder:
 
 def count_cm_curves(spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of elliptic (A, B) with CM and height <= bound."""
-    return sum(count_curves_with_j(o.j, spec, bound) for o in CM_ORDERS)
+    b = box(spec, bound)
+    return sum(_curves_in(o.j, b) for o in CM_ORDERS)
 
 
 def count_cm_representatives(spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of CM Q-isomorphism class representatives with height
     <= bound."""
-    return sum(count_representatives_with_j(o.j, spec, bound) for o in CM_ORDERS)
+    b = box(spec, bound)
+    return sum(_representatives_in(o.j, b) for o in CM_ORDERS)
 
 
 class MinimalCurveRow(NamedTuple):
@@ -106,13 +104,9 @@ def cm_count_table(
     if not bounds:
         raise ValueError("need at least one height bound")
     bounds_f = tuple(Fraction(b) for b in bounds)
+    boxes = [box(spec, b) for b in bounds_f]
     rows = tuple(
-        CmCountRow(
-            o.disc,
-            o.conductor,
-            o.j,
-            tuple(count_curves_with_j(o.j, spec, b) for b in bounds_f),
-        )
+        CmCountRow(o.disc, o.conductor, o.j, tuple(_curves_in(o.j, b) for b in boxes))
         for o in CM_ORDERS
     )
     totals = tuple(sum(row.counts[i] for row in rows) for i in range(len(bounds_f)))

@@ -131,8 +131,6 @@ def _pollard_rho(n: int) -> int:
     square of the digits past _RHO_FULL_DIGITS), so the factor found never
     depends on the budget.
     """
-    if n % 2 == 0:
-        return 2
     digits = len(str(n))
     budget = _RHO_BUDGET * _RHO_FULL_DIGITS**2 // max(digits, _RHO_FULL_DIGITS) ** 2
     left = budget

@@ -19,12 +19,13 @@ curve (A_j, B_j), and the whole family is
     (m^(r/3) A_j, m^(r/2) B_j),   m in Z \\ {0},   height |m|^r H(A_j, B_j),
 
 with the representatives being exactly the (12/r)-free m.  Every count
-tests height through ``heights.box`` alone: curve m lies in the box iff
-|m|^(r/3) |A_j| <= xb and |m|^(r/2) |B_j| <= yb.  For j = 0 the
+tests height through one ``heights.box`` per cutoff: curve m lies in the
+box iff |m|^(r/3) |A_j| <= xb and |m|^(r/2) |B_j| <= yb.  For j = 0 the
 least curve is (0, 1) with r = 2; for j = 1728 it is (1, 0) with r = 3.
 Any other j has r = 6: (A, B) has invariant j exactly when B^2 = a A^3
 with a = 4(1728 - j)/(27 j), and the lattice step of that cuspidal cubic
-(``cuspidal``) gives (A_j, B_j) = (step^2 / a, step^3 / a).
+(``cuspidal``) gives (A_j, B_j) = (step^2 / a, step^3 / a).  The singular
+locus is the twist family (-3m^2, 2m^3) of the cusp (-3, 2), with r = 6.
 """
 
 from __future__ import annotations
@@ -69,13 +70,11 @@ def j_invariant(curve: WeierstrassCurve | tuple[int, int]) -> Fraction:
 
 
 def _twist_scale(a: int, b: int) -> int:
-    """The largest d with d^4 | A and d^6 | B (d = 1 for representatives).
+    """The largest d with d^4 | A and d^6 | B of a nonsingular curve.
 
     Only primes of gcd(A, B) can divide d; gcd(0, n) = |n|, and a zero
     coordinate is divisible by every power, so it puts no bound on d.
     """
-    if a == 0 and b == 0:
-        raise SingularCurveError("curve (0, 0) is singular")
     d = 1
     for p in factorize(math.gcd(a, b)).factors:
         q = p
@@ -87,10 +86,7 @@ def _twist_scale(a: int, b: int) -> int:
 
 def is_representative(curve: WeierstrassCurve | tuple[int, int]) -> bool:
     """True iff no prime p has p^4 | A and p^6 | B."""
-    a, b = curve
-    if discriminant(curve) == 0:
-        raise SingularCurveError(f"curve ({a}, {b}) is singular")
-    return _twist_scale(a, b) == 1
+    return twist_decompose(curve).d == 1
 
 
 def twist(curve: WeierstrassCurve | tuple[int, int], d: int) -> WeierstrassCurve:
@@ -173,30 +169,33 @@ def param_bound(j: int | Fraction, spec: HeightSpec, bound: int | Fraction) -> i
     return _max_parameter(*_least_curve(j), box(spec, bound))
 
 
+def _curves_in(j: int | Fraction, b: HeightBox) -> int:
+    """The number of curves with invariant j in the box b."""
+    return 2 * _max_parameter(*_least_curve(j), b)
+
+
+def _representatives_in(j: int | Fraction, b: HeightBox) -> int:
+    """The number of representatives with invariant j in the box b: the
+    (12/r)-free m, 6-free, 4-free, square-free as j = 0, 1728, generic."""
+    least, r = _least_curve(j)
+    return 2 * count_kfree(_max_parameter(least, r, b), 12 // r)
+
+
 def count_curves_with_j(j: int | Fraction, spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of elliptic (A, B) with j-invariant j, height <= bound."""
-    return 2 * param_bound(j, spec, bound)
+    return _curves_in(j, box(spec, bound))
 
 
 def count_representatives_with_j(
     j: int | Fraction, spec: HeightSpec, bound: int | Fraction
 ) -> int:
     """Exact number of Q-isomorphism class representatives with invariant j
-    and height <= bound: twice the number of (12/r)-free m <= param_bound
-    (6-free, 4-free, square-free as j = 0, 1728, generic)."""
-    least, r = _least_curve(j)
-    return 2 * count_kfree(_max_parameter(least, r, box(spec, bound)), 12 // r)
+    and height <= bound."""
+    return _representatives_in(j, box(spec, bound))
 
 
-def _count_core(spec: HeightSpec, bound: int | Fraction) -> tuple[int, int, int]:
-    """(xb, yb, s) at cutoff bound: the height box |A| <= xb, |B| <= yb and
-    the largest m >= 0 whose singular point (-3m^2, 2m^3) lies in it.
-
-    The singular locus 4A^3 + 27B^2 = 0 is exactly {(-3m^2, 2m^3) : m in Z}.
-    """
-    b = box(spec, bound)
-    s = min(math.isqrt(b.x_bound // 3), iroot(b.y_bound // 2, 3))
-    return b.x_bound, b.y_bound, s
+# the singular locus 4A^3 + 27B^2 = 0 is the cusp's family (-3m^2, 2m^3), r = 6
+_CUSP = WeierstrassCurve(-3, 2)
 
 
 def _elliptic_in_box(xb: int, yb: int, s: int) -> int:
@@ -206,13 +205,14 @@ def _elliptic_in_box(xb: int, yb: int, s: int) -> int:
 def count_singular(spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of singular (A, B) with height <= bound, the origin
     included: the 2s + 1 points (-3m^2, 2m^3) with |m| <= s."""
-    return 2 * _count_core(spec, bound)[2] + 1
+    return 2 * _max_parameter(_CUSP, 6, box(spec, bound)) + 1
 
 
 def count_curves(spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of elliptic (A, B) with height <= bound: the lattice
     points of the height box minus the 2s + 1 singular ones."""
-    return _elliptic_in_box(*_count_core(spec, bound))
+    b = box(spec, bound)
+    return _elliptic_in_box(*b, _max_parameter(_CUSP, 6, b))
 
 
 # A block of count_representatives costs up to two roots and a count of
@@ -249,7 +249,8 @@ def count_representatives(spec: HeightSpec, bound: int | Fraction) -> int:
     (or dmax, if smaller).  The sieve to dmax is asked for first, so a
     cutoff past its budget is refused before any term is summed.
     """
-    xb, yb, s = _count_core(spec, bound)
+    b = box(spec, bound)
+    xb, yb, s = *b, _max_parameter(_CUSP, 6, b)
     dmax = max(iroot(xb, 4), iroot(yb, 6))
     mu = moebius_sieve(dmax)
     c = _REP_BLOCK_COST

@@ -1,16 +1,18 @@
 """Definition-level arithmetic that only the tests need: the exponent of a
 prime in a rational, the k-free test by factoring, the term-by-term k-free
 and representative sums that the blocked ones in the package must equal,
-the fixed-j parameter bound from the height of the least curve, and the
-least curves of a j found by scanning the height box."""
+the singular bound of the height box, the fixed-j parameter bound from the
+height of the least curve, and the least curves of a j found by scanning
+the height box."""
 
+import math
 from collections.abc import Iterator
 from fractions import Fraction
 
 from nhc import families
 from nhc.cm import CM_ORDERS
 from nhc.exactarith import factorize, iroot, is_prime, moebius_sieve
-from nhc.heights import HeightBox, HeightSpec, height
+from nhc.heights import HeightBox, HeightSpec, box, height
 from nhc.oracle import _box_within_budget, _roots
 
 
@@ -50,10 +52,18 @@ def count_kfree_direct(limit: int, k: int) -> int:
     return sum(mu[d] * (limit // d**k) for d in range(1, r + 1) if mu[d])
 
 
+def singular_bound_direct(spec: HeightSpec, bound) -> int:
+    """The largest m >= 0 whose singular point (-3m^2, 2m^3) lies in the
+    height box: 3m^2 <= xb and 2m^3 <= yb."""
+    b = box(spec, bound)
+    return min(math.isqrt(b.x_bound // 3), iroot(b.y_bound // 2, 3))
+
+
 def count_representatives_direct(spec, bound) -> int:
     """Moebius inversion over the twists, one box term per d up to
     dmax = max(xb^(1/4), yb^(1/6))."""
-    xb, yb, s = families._count_core(spec, bound)
+    xb, yb = box(spec, bound)
+    s = singular_bound_direct(spec, bound)
     dmax = max(iroot(xb, 4), iroot(yb, 6))
     mu = moebius_sieve(dmax)
     return sum(

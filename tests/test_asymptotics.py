@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from nhc import asymptotics
 from nhc.asymptotics import (
     cm_asymptotic,
     cm_coefficient_sum,
@@ -26,7 +27,7 @@ from nhc.asymptotics import (
     zeta_value,
 )
 from nhc.cm import CM_ORDERS
-from nhc.families import minimal_curves
+from nhc.families import SpecialJError, minimal_curves
 from nhc.heights import CALIBRATED, UNCALIBRATED, HeightSpec
 
 # 10-digit reference coefficients 2 c(j) / zeta(2), by (disc, conductor)
@@ -93,6 +94,17 @@ class TestMainTerms:
                     for got, want in references:
                         assert abs(got - want) / want < mpmath.mpf(10) ** -45
 
+    def test_no_main_term_calls_another(self, monkeypatch):
+        # each public main term builds its own, so a traced call never nests
+        names = ("main_term_curves", "main_term_representatives", "main_term_curves_with_j",
+                 "main_term_representatives_with_j", "cm_asymptotic", "cm_curves_asymptotic")
+        terms = {name: getattr(asymptotics, name) for name in names}
+        for name in names:
+            monkeypatch.setattr(asymptotics, name, None)  # a call would raise TypeError
+        for name, term in terms.items():
+            j = (-3375,) if name.endswith("_with_j") else ()
+            term(*j, CALIBRATED, 10**6)
+
     def test_fixed_j_branches(self):
         v = main_term_representatives_with_j(54000, CALIBRATED, 1)
         assert abs(v - mpmath.mpf("0.2491681566")) < 5e-11
@@ -131,6 +143,11 @@ class TestConstants:
     def test_coefficient_uses_exact_min(self):
         c = fixed_j_coefficient(54000, CALIBRATED)
         assert abs(c**6 - mpmath.mpf(1) / 13500) < 1e-45
+
+    @pytest.mark.parametrize("j", [0, 1728])
+    def test_coefficient_special_j_rejected(self, j):
+        with pytest.raises(SpecialJError, match="no sixth-root coefficient"):
+            fixed_j_coefficient(j, CALIBRATED)
 
 
 class TestCmAsymptotic:
@@ -184,6 +201,10 @@ class TestReport:
         assert math.isnan(r.relative_error)
         assert r.percent() == "undefined"
         assert report(0, 0.0).relative_error == 0.0
+
+    def test_negative_exact_rejected(self):
+        with pytest.raises(ValueError, match="cannot be negative"):
+            report(-1, 1.0)
 
     def test_percent_two_significant_digits(self):
         assert format_percent(1.7004) == "170%"

@@ -263,6 +263,7 @@ class TestParametrize:
         )
         assert code == 3
         assert "6-free" in err
+        assert "count --family" not in err  # no count family lists fixed-j representatives
 
     def test_row_budget_refused(self, capsys):
         # j = 0 at cal 1e16 has 2 * floor(sqrt(1e16 / 27)) = 38,490,016 curves

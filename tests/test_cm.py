@@ -3,7 +3,7 @@ exact formulas and hand-checked heights)."""
 
 import pytest
 
-from nhc import exactarith
+from nhc import cm, exactarith, families
 from nhc.cm import (
     CM_ORDERS,
     cm_count_table,
@@ -12,7 +12,7 @@ from nhc.cm import (
     count_cm_curves,
     count_cm_representatives,
 )
-from nhc.heights import CALIBRATED, UNCALIBRATED
+from nhc.heights import CALIBRATED, UNCALIBRATED, box
 
 EXPECTED_J = {
     (-3, 1): 0,
@@ -68,6 +68,25 @@ class TestCounts:
         sieve = exactarith.moebius_sieve(0)
         assert count_cm_representatives(CALIBRATED, 10**54) == first
         assert exactarith.moebius_sieve(0) is sieve
+
+    def test_one_box_per_cutoff(self, monkeypatch):
+        # the thirteen families share the height box of each cutoff
+        calls = []
+
+        def counted(spec, bound):
+            calls.append(bound)
+            return box(spec, bound)
+
+        for module in (cm, families):
+            monkeypatch.setattr(module, "box", counted)
+        count_cm_curves(CALIBRATED, 10**30)
+        assert calls == [10**30]
+        calls.clear()
+        count_cm_representatives(CALIBRATED, 10**30)
+        assert calls == [10**30]
+        calls.clear()
+        cm_count_table(CALIBRATED, (10**6, 10**10, 10**30))
+        assert calls == [10**6, 10**10, 10**30]
 
     def test_totals_are_row_sums(self):
         table = cm_count_table(CALIBRATED, (10**6, 10**10))

@@ -66,6 +66,8 @@ class TestFactorize:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factorize(0)
+        with pytest.raises(ValueError, match="0 has no prime factorization"):
+            factorize_rational(0)
 
     @given(st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0))
     def test_round_trip(self, n):
@@ -346,6 +348,12 @@ class TestIroot:
             m = iroot(n, k)
             assert m**k <= n < (m + 1) ** k, (n, k)
 
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError, match="n >= 0"):
+            iroot(-1, 3)
+        with pytest.raises(ValueError, match="k >= 1"):
+            iroot(8, 0)
+
     def test_exact_powers(self):
         for base in (2, 3, 10, 163, 10**6 + 3):
             for k in (2, 3, 5, 6, 12):
@@ -365,6 +373,10 @@ class TestFloorRationalRoot:
     )
     def test_examples(self, q, k, expected):
         assert floor_rational_root(q, k) == expected
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="q >= 0"):
+            floor_rational_root(Fraction(-1, 2), 2)
 
     @given(st.integers(min_value=0, max_value=10**18), st.integers(min_value=1, max_value=8))
     def test_agrees_with_iroot_on_integers(self, n, k):
@@ -390,6 +402,12 @@ class TestCountKfree:
         assert count_kfree(10, 2) == 7  # {1,2,3,5,6,7,10}
         assert count_kfree(0, 2) == 0
         assert count_kfree(100, 2) == 61  # brute-force squarefree sieve
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError, match="limit >= 0"):
+            count_kfree(-1, 2)
+        with pytest.raises(ValueError, match="k >= 2"):
+            count_kfree(10, 1)
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_against_incremental_scan(self, k):

@@ -49,6 +49,7 @@ from arith_reference import (
     is_kfree,
     max_parameter_direct,
     ord_p,
+    singular_bound_direct,
 )
 
 CM_J = (
@@ -150,7 +151,7 @@ class TestInvariants:
         assert not is_representative((0, 64))
         assert is_representative((-15, 22))
         assert not is_representative((-240, 1408))
-        with pytest.raises(SingularCurveError):
+        with pytest.raises(SingularCurveError, match=r"curve \(0, 0\) is singular"):
             is_representative((0, 0))
 
 
@@ -389,6 +390,22 @@ class TestGlobalCounts:
             )
             assert count_singular(CALIBRATED, x) == singular
             assert count_curves(CALIBRATED, x) == lattice - singular
+
+    @given(
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**60, max_denominator=10**6),
+    )
+    # the singular bound s is set by 2 s^3 <= yb here and by 3 s^2 <= xb below
+    @example(Fraction(1), Fraction(1000), Fraction(10**30))
+    @example(Fraction(1000), Fraction(1, 1000), Fraction(10**30))
+    def test_singular_bound_matches_reference(self, alpha, beta, x):
+        # the cusp's twist family against 3 s^2 <= xb and 2 s^3 <= yb
+        spec = HeightSpec(alpha, beta)
+        s = singular_bound_direct(spec, x)
+        assert count_singular(spec, x) == 2 * s + 1
+        b = box(spec, x)
+        assert count_curves(spec, x) == (2 * b.x_bound + 1) * (2 * b.y_bound + 1) - 2 * s - 1
 
     def test_weights_below_one_against_census(self):
         # a weight below 1 lets twist scales d > X^(1/12) into the box:
