@@ -67,6 +67,16 @@ def matrix() -> list[list[str]]:
         out.append(["tables", "--name", name, "--bounds", "1e3"])
     for fmt in ("csv", "json"):  # a repeated cutoff is one column
         out.append(["tables", "--name", "cm-counts", "--format", fmt, "--bounds", "1e3,1000,7/2"])
+    skew = "alpha/37:5,beta/11:7"  # least heights that are not integers
+    for bound in ("7/2", "27e9", "1e30"):
+        for family in ("cm", "cm-rep"):
+            out.append(["count", "--family", family, "--height", skew, "--bound", bound,
+                        "--asymptotic"])
+        for j in ("cm:-163", "-3375", "3/7", "0", "1728"):
+            out.append(["count", "--family", "j", "--j=" + j, "--height", skew,
+                        "--bound", bound, "--asymptotic"])
+    for name in ("coefficients", "relative-error"):
+        out.append(["tables", "--name", name, "--height", skew])
     return out
 
 
