@@ -4,17 +4,17 @@ The exact counts elsewhere in the package grow like power laws whose
 leading coefficients involve zeta values:
 
     representatives, all j:    4 / (alpha^(1/3) beta^(1/2) zeta(10)) X^(5/6)
-    representatives, fixed j:  2 / zeta(12/r) (X / H(A_j, B_j))^(1/r)
+    representatives, fixed j:  2 c(j) / zeta(12/r) X^(1/r)
     CM representatives:        sum of the thirteen fixed-j terms; the
                                generic c(j) add up to cm_coefficient_sum.
 
-Here (A_j, B_j) is the least curve with invariant j and r = 2, 3, 6 as
-j = 0, 1728, generic (see ``families``); for generic j the coefficient
-c(j) = H(A_j, B_j)^(-1/6) is evaluated from that exact rational at high
-precision.  Dropping the zeta factors gives the corresponding main terms
-for the families of all curves (not just representatives).  Each main term
-builds its own: from the all-j term or the fixed-j term 2 (X / H)^(1/r),
-which the CM terms sum over the thirteen CM invariants.
+Here c(j) = H(A_j, B_j)^(-1/r), where (A_j, B_j) is the least curve with
+invariant j and r = 2, 3, 6 as j = 0, 1728, generic (see ``families``).
+Dropping the zeta factors gives the corresponding main terms for the
+families of all curves (not just representatives).  Every fixed-j and CM
+main term, and the coefficient table, reads one cached record per (j, spec),
+(r, c(j), 2 c(j) / zeta(12/r)) taken from the exact rational least height,
+and multiplies it by X^(1/r).
 
 Everything returns mpmath floats computed at 50 digits; ``float()`` them
 freely.
@@ -22,6 +22,7 @@ freely.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -52,14 +53,25 @@ def _mpf(q: int | Fraction) -> mpmath.mpf:
     return mpmath.mpf(q.numerator) / q.denominator
 
 
+@functools.lru_cache(maxsize=256)
+def _coefficients(j: int | Fraction, spec: HeightSpec) -> tuple[int, mpmath.mpf, mpmath.mpf]:
+    """(r, c(j), 2 c(j) / zeta(12/r)) at 50 digits, c(j) = H(A_j, B_j)^(-1/r):
+    the fixed-j curves and representatives are about 2 c(j) X^(1/r) and
+    2 c(j) / zeta(12/r) X^(1/r).  Cached for the last 256 (j, spec), so each
+    least height is taken once."""
+    least, r = _least_curve(j)
+    with mpmath.workdps(_DPS):
+        c = mpmath.root(_mpf(1 / height(spec, least)), r)
+        return r, c, 2 * c / zeta_value(12 // r)
+
+
 def fixed_j_coefficient(j: int | Fraction, spec: HeightSpec) -> mpmath.mpf:
     """c(j) = H(A_j, B_j)^(-1/6): the generic fixed-j count is
     2 * floor(c(j) * X^(1/6)).  At 50 digits; j outside {0, 1728}."""
-    least, r = _least_curve(j)
+    r, c, _ = _coefficients(j, spec)
     if r != 6:
         raise SpecialJError(f"j = {j} has no sixth-root coefficient")
-    with mpmath.workdps(_DPS):
-        return mpmath.root(_mpf(1 / height(spec, least)), 6)
+    return c
 
 
 def cm_coefficient_sum(spec: HeightSpec) -> mpmath.mpf:
@@ -68,25 +80,15 @@ def cm_coefficient_sum(spec: HeightSpec) -> mpmath.mpf:
     Calibrated weights give 0.950583051425665...; uncalibrated give
     1.20946795835178...
     """
+    records = [_coefficients(o.j, spec) for o in CM_ORDERS]
     with mpmath.workdps(_DPS):
-        return mpmath.fsum(
-            fixed_j_coefficient(o.j, spec) for o in CM_ORDERS if o.j not in (0, 1728)
-        )
+        return mpmath.fsum(c for r, c, _ in records if r == 6)
 
 
 def _all_curves_term(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """4 (X / alpha)^(1/3) (X / beta)^(1/2), at the caller's precision."""
     x = _mpf(bound)
     return 4 * mpmath.cbrt(x / _mpf(spec.alpha)) * mpmath.sqrt(x / _mpf(spec.beta))
-
-
-def _fixed_j_term(
-    j: int | Fraction, spec: HeightSpec, bound: int | Fraction
-) -> tuple[mpmath.mpf, int]:
-    """(2 (X / H(A_j, B_j))^(1/r), 12 // r): the all-curves term and the s of
-    the representatives' density 1/zeta(s), at the caller's precision."""
-    least, r = _least_curve(j)
-    return 2 * mpmath.root(_mpf(bound) / _mpf(height(spec, least)), r), 12 // r
 
 
 def main_term_representatives(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
@@ -105,30 +107,34 @@ def main_term_representatives_with_j(
     j: int | Fraction, spec: HeightSpec, bound: int | Fraction
 ) -> mpmath.mpf:
     """Leading term of the fixed-j representative count."""
+    r, _, rep = _coefficients(j, spec)
     with mpmath.workdps(_DPS):
-        term, s = _fixed_j_term(j, spec, bound)
-        return term / zeta_value(s)
+        return rep * mpmath.root(_mpf(bound), r)
 
 
 def main_term_curves_with_j(
     j: int | Fraction, spec: HeightSpec, bound: int | Fraction
 ) -> mpmath.mpf:
     """Leading term of the fixed-j all-curves count."""
+    r, c, _ = _coefficients(j, spec)
     with mpmath.workdps(_DPS):
-        return _fixed_j_term(j, spec, bound)[0]
+        return 2 * c * mpmath.root(_mpf(bound), r)
 
 
 def cm_asymptotic(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Three-term expansion of the CM representative count."""
+    records = [_coefficients(o.j, spec) for o in CM_ORDERS]
     with mpmath.workdps(_DPS):
-        terms = (_fixed_j_term(o.j, spec, bound) for o in CM_ORDERS)
-        return mpmath.fsum(term / zeta_value(s) for term, s in terms)
+        x = _mpf(bound)
+        return mpmath.fsum(rep * mpmath.root(x, r) for r, _, rep in records)
 
 
 def cm_curves_asymptotic(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Three-term expansion of the CM all-curves count (no zeta factors)."""
+    records = [_coefficients(o.j, spec) for o in CM_ORDERS]
     with mpmath.workdps(_DPS):
-        return mpmath.fsum(_fixed_j_term(o.j, spec, bound)[0] for o in CM_ORDERS)
+        x = _mpf(bound)
+        return mpmath.fsum(2 * c * mpmath.root(x, r) for r, c, _ in records)
 
 
 def density_limit(family: str) -> float:
@@ -188,14 +194,8 @@ class CoefficientRow(NamedTuple):
 def coefficient_table(spec: HeightSpec) -> list[CoefficientRow]:
     """The leading coefficient 2 c(j) / zeta(2) of the fixed-j
     representative count, per CM order outside {0, 1728}."""
-    rows = []
-    with mpmath.workdps(_DPS):
-        for o in CM_ORDERS:
-            if o.j in (0, 1728):
-                continue
-            coeff = 2 * fixed_j_coefficient(o.j, spec) / zeta_value(2)
-            rows.append(CoefficientRow(o.disc, o.conductor, o.j, coeff))
-    return rows
+    records = ((o, *_coefficients(o.j, spec)) for o in CM_ORDERS)
+    return [CoefficientRow(o.disc, o.conductor, o.j, rep) for o, r, _, rep in records if r == 6]
 
 
 class ErrorRow(NamedTuple):

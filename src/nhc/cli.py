@@ -116,8 +116,8 @@ def _parse_j_list(text: str) -> list[Fraction]:
     # "cm" is the thirteen CM j; a repeated j is checked once, in first-seen order
     cm_js = [Fraction(o.j) for o in cm.CM_ORDERS]
     js = []
-    for tok in filter(str.strip, text.split(",")):
-        js += cm_js if tok.strip().lower() == "cm" else [_parse_j(tok)]
+    for tok in filter(None, map(str.strip, text.split(","))):
+        js += cm_js if tok.lower() == "cm" else [_parse_j(tok)]
     return list(dict.fromkeys(js))
 
 

@@ -26,9 +26,10 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple
 
-from .exactarith import ScanBudgetError, _small_primes
+from .exactarith import ScanBudgetError, _prime_flags, iroot
 from .heights import CALIBRATED, HeightBox, HeightSpec, box
 
 _COLUMN_COST = 3  # a column's own count, in tracked-j checks (2.4-2.9 at cal 1e13-1e15)
@@ -90,13 +91,18 @@ def _multiples(mods: list[int], n: int, i: int = 0) -> int:
     return total
 
 
+def _primes_to(n: int) -> list[int]:
+    """The primes p <= n."""
+    return list(compress(range(n + 1), _prime_flags(n)))
+
+
 def _scan_stripe(args: tuple[range, int, tuple[Fraction, ...]]) -> tuple[int, ...]:
     """(singular, elliptic, representatives, then the curves and the
     representatives of each tracked j) over the columns A x B in [-by, by]."""
     columns, by, js = args
-    quartics = [(p**4, p**6) for p in _small_primes()
-                if p**4 <= max(abs(columns[0]), abs(columns[-1]))]
-    zero_mods = [p**6 for p in _small_primes() if p**6 <= by]  # every p^4 divides A = 0
+    widest = max(abs(columns[0]), abs(columns[-1]))
+    quartics = [(p**4, p**6) for p in _primes_to(iroot(widest, 4))]
+    zero_mods = [p**6 for p in _primes_to(iroot(by, 6))]  # every p^4 divides A = 0
     solve = [(k, 27 * j.numerator, 6912 * j.denominator - 4 * j.numerator, j.numerator,
               6912 * j.denominator) for k, j in enumerate(js) if j]
     j0 = js.index(0) if 0 in js else None

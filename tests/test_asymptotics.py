@@ -28,7 +28,7 @@ from nhc.asymptotics import (
 )
 from nhc.cm import CM_ORDERS
 from nhc.families import SpecialJError, minimal_curves
-from nhc.heights import CALIBRATED, UNCALIBRATED, HeightSpec
+from nhc.heights import CALIBRATED, UNCALIBRATED, HeightSpec, height
 
 # 10-digit reference coefficients 2 c(j) / zeta(2), by (disc, conductor)
 COEFFS = {
@@ -104,6 +104,22 @@ class TestMainTerms:
         for name, term in terms.items():
             j = (-3375,) if name.endswith("_with_j") else ()
             term(*j, CALIBRATED, 10**6)
+
+    def test_least_height_taken_once_per_j(self, monkeypatch):
+        # the CM sums read one cached coefficient record per (j, spec)
+        calls = []
+
+        def counted(spec, curve):
+            calls.append(curve)
+            return height(spec, curve)
+
+        asymptotics._coefficients.cache_clear()
+        monkeypatch.setattr(asymptotics, "height", counted)
+        spec = HeightSpec(Fraction(37, 5), Fraction(11, 7))
+        for e in range(24, 55):
+            asymptotics.cm_asymptotic(spec, 10**e)
+            asymptotics.cm_curves_asymptotic(spec, 10**e)
+        assert len(calls) == len(CM_ORDERS) == 13
 
     def test_fixed_j_branches(self):
         v = main_term_representatives_with_j(54000, CALIBRATED, 1)

@@ -501,6 +501,14 @@ class TestVerify:
         tracked = [line.split()[2][2:-1] for line in out.splitlines() if " curves j=" in line]
         assert tracked == first + [str(Fraction(o.j)) for o in cm.CM_ORDERS]
 
+    @pytest.mark.parametrize("js, tracked", [("0, cm:-7", ["0", "-3375"]),
+                                             (" cm:-7 , 54000 ", ["-3375", "54000"])])
+    def test_spaced_tokens(self, capsys, js, tracked):
+        code, out, _ = run(capsys, "verify", "--height", "cal", "--bound", "1e4", "--j", js)
+        assert code == 0
+        assert "FAIL" not in out
+        assert [line.split()[2][2:-1] for line in out.splitlines() if " curves j=" in line] == tracked
+
     def test_default_is_serial(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a default verify started a process pool")

@@ -235,6 +235,16 @@ class TestTwistCount:
             by = rng.choice((rng.randint(1, 2 * 10**5), q * rng.randint(1, 20), q - 1))
             assert self.counted(a, by) == _listed_twists(a, by), (a, by)
 
+    @pytest.mark.parametrize("a", [10007**4, -(10007**4)])
+    def test_quartic_of_a_prime_past_ten_thousand(self, a):
+        # 10007 is the least prime past 10^4: its twists are B = 0 and +-10007^6
+        p6 = 10007**6
+        assert oracle._scan_stripe((range(a, a + 1), p6, ())) == (0, 2 * p6 + 1, 2 * p6 - 2)
+
+    def test_zero_column_past_ten_thousand(self):
+        # raising by to 10007^6 adds B = +-10007^6, both multiples of that sixth power
+        assert self.counted(0, 10007**6) - self.counted(0, 10007**6 - 1) == 2
+
 
 def _is_twist(a: int, b: int) -> bool:
     """Some d >= 2 has d^4 | A and d^6 | B; a nonzero coordinate bounds d."""
