@@ -8,17 +8,18 @@ Subcommands:
     tables       emit the CM reference tables (table, csv, or json)
     verify       brute-force census vs. every exact formula
 
-Exit codes: 0 success, 2 malformed flags or an ``--output`` that cannot be
-opened for writing (``verify`` also exits 2 when NHC_ORACLE_CAP is not a
-non-negative integer), 3 a j of 0 or 1728 was forced down the generic
-fixed-j path, 4 singular curve input, 5 verify mismatch, 6 scan, sieve,
-factoring or row budget exceeded (``parametrize`` lists at most 10^6
-curves), 141 the reader closed the output pipe early, as ``| head`` does
-(nothing is printed).  Bounds accept integers, scientific notation (parsed
-exactly: 1e25 is the integer 10^25), and rationals "p/q".  j-invariants
-accept rationals or CM aliases "cm:<disc>[:<conductor>]".  A numerator,
-denominator, height weight or ``twist`` coefficient of more than 250
-digits (an exponent eN counts as N digits) is a malformed flag.
+Exit codes: 0 success, 2 malformed flags or an output (stdout or
+``--output``) that cannot be opened or written, on one line (``verify``
+also exits 2 when NHC_ORACLE_CAP is not a non-negative integer), 3 a j of
+0 or 1728 was forced down the generic fixed-j path, 4 singular curve
+input, 5 verify mismatch, 6 scan, sieve, factoring or row budget exceeded
+(``parametrize`` lists at most 10^6 curves), 141 the reader closed the
+output pipe early, as ``| head`` does (nothing is printed).  Bounds accept
+integers, scientific notation (parsed exactly: 1e25 is the integer
+10^25), and rationals "p/q".  j-invariants accept rationals or CM aliases
+"cm:<disc>[:<conductor>]".  A numerator, denominator, height weight or
+``twist`` coefficient of more than 250 digits (an exponent eN counts as N
+digits) is a malformed flag.
 ``tables --bounds`` sets the cutoffs of cm-counts (its columns) and
 relative-error (its rows), each once in first-seen order (1e3 and 1000
 are one cutoff); cm-minimal and coefficients refuse it on exit 2.  csv
@@ -46,6 +47,10 @@ from . import cm, families
 from .exactarith import ScanBudgetError, moebius_sieve
 from .families import SingularCurveError, SpecialJError, WeierstrassCurve
 from .heights import HeightSpec, height, parse_height_spec
+
+
+class _Refusal(Exception):
+    """``_Refusal(code, line)``: ``main`` alone prints the line, if any, and exits."""
 
 
 # The most digits in a numerator, denominator or height weight of a flag;
@@ -99,6 +104,7 @@ def _parse_coefficient(text: str) -> int:
 
 
 def _parse_j(text: str) -> Fraction:
+    text = text.strip()
     if text.startswith("cm:"):
         disc, sep, conductor = text[3:].partition(":")
         try:
@@ -151,16 +157,34 @@ def _table_widths(headers: list[str], rows: Iterable[tuple]) -> list[int]:
     return [max(w, len(str(a)), len(str(b))) for w, a, b in zip(widths, lo, hi)]
 
 
-def _emit(args, headers: list[str], rows: Callable[[], Iterable[tuple]]) -> int:
-    """Write the rows that ``rows()`` returns, each a tuple in header order,
-    and return the exit code.  Every format writes row by row; the table
-    calls ``rows`` twice, first for its column widths."""
+def _write(path: str | None, write: Callable) -> None:
+    """Call ``write`` on the file ``path``, or on stdout if it is None.  A failed
+    open, write, flush or close is a refusal: 141 for a closed pipe (as SIGPIPE
+    exits), else 2; a failed stdout moves to devnull for a silent shutdown."""
     try:
-        out = open(args.output, "w") if args.output else sys.stdout
+        out = open(path, "w") if path else sys.stdout
+        try:
+            write(out)
+        finally:
+            (out.close if path else out.flush)()
     except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-        return 2
-    try:
+        if not path:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise _Refusal(141, None) from None
+        raise _Refusal(2, f"error: cannot write {path or 'stdout'}: {exc.strerror}") from None
+
+
+def _print(*lines) -> None:
+    _write(None, lambda out: print(*lines, sep="\n", file=out))
+
+
+def _emit(args, headers: list[str], rows: Callable[[], Iterable[tuple]]) -> None:
+    """Write the rows that ``rows()`` returns, each a tuple in header order,
+    to ``args.output`` or stdout.  Every format writes row by row; the table
+    calls ``rows`` twice, first for its column widths."""
+
+    def write(out) -> None:
         if args.format == "json":
             # the layout of json.dumps(list_of_rows, indent=2), row by row;
             # every cell is a scalar
@@ -182,19 +206,16 @@ def _emit(args, headers: list[str], rows: Callable[[], Iterable[tuple]]) -> int:
             print("  ".join(map(str.ljust, headers, widths)).rstrip(), file=out)
             for row in rows():
                 print("  ".join(map(str.rjust, map(str, row), widths)).rstrip(), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
+
+    _write(args.output, write)
 
 
 # ---------------------------------------------------------------- count --
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> None:
     if args.family == "j" and args.j is None:
-        print("error: --j is required for --family j", file=sys.stderr)
-        return 2
+        raise _Refusal(2, "error: --j is required for --family j")
     spec, x = args.height, args.bound
     family_args = (args.j, spec, x) if args.family == "j" else (spec, x)
     count, main_term = {
@@ -205,17 +226,15 @@ def cmd_count(args) -> int:
         "cm-rep": (cm.count_cm_representatives, "cm_asymptotic"),
     }[args.family]
     exact = count(*family_args)
-    print(exact)
-    if args.asymptotic:
-        import mpmath
+    if not args.asymptotic:
+        return _print(exact)
+    import mpmath
 
-        from . import asymptotics
+    from . import asymptotics
 
-        approx = getattr(asymptotics, main_term)(*family_args)
-        rep = asymptotics.report(exact, approx)
-        print(f"main term: {mpmath.nstr(approx, 12)}")
-        print(f"relative error: {rep.percent()}")
-    return 0
+    approx = getattr(asymptotics, main_term)(*family_args)
+    _print(exact, f"main term: {mpmath.nstr(approx, 12)}",
+           f"relative error: {asymptotics.report(exact, approx).percent()}")
 
 
 # ---------------------------------------------------------- parametrize --
@@ -226,14 +245,11 @@ def cmd_count(args) -> int:
 _ROW_BUDGET = 10**6
 
 
-def cmd_parametrize(args) -> int:
+def cmd_parametrize(args) -> None:
     spec, x, j = args.height, args.bound, args.j
     if args.squarefree_only and (j == 0 or j == 1728):
-        raise SpecialJError(
-            "the square-free parameter rule belongs to the generic fixed-j "
-            "family; j = 0 and j = 1728 representatives are 6-free/4-free "
-            "instead"
-        )
+        raise SpecialJError("the square-free parameter rule belongs to the generic fixed-j "
+                            "family; j = 0 and j = 1728 representatives are 6-free/4-free instead")
     count = (families.count_representatives_with_j if args.squarefree_only
              else families.count_curves_with_j)
     listed = count(j, spec, x)
@@ -253,22 +269,21 @@ def cmd_parametrize(args) -> int:
                 # curve m has height |m|^r H(A_j, B_j)
                 yield m, curve.A, curve.B, abs(m) ** r * least_height
 
-    return _emit(args, ["m", "A", "B", "height"], rows)
+    _emit(args, ["m", "A", "B", "height"], rows)
 
 
 # ---------------------------------------------------------------- twist --
 
 
-def cmd_twist(args) -> int:
+def cmd_twist(args) -> None:
     dec = families.twist_decompose(WeierstrassCurve(args.A, args.B))
-    print(dec.d, dec.representative.A, dec.representative.B)
-    return 0
+    _print(f"{dec.d} {dec.representative.A} {dec.representative.B}")
 
 
 # --------------------------------------------------------------- tables --
 
 
-def _table_cm_minimal(spec: HeightSpec):
+def _table_cm_minimal(spec: HeightSpec, bounds):
     return ["d_K", "f", "j", "A", "B_abs", "min_height"], [
         (r.disc, r.conductor, r.j, r.curves[0].A, abs(r.curves[0].B), r.min_height)
         for r in cm.cm_minimal_table(spec)
@@ -282,7 +297,7 @@ def _table_cm_counts(spec: HeightSpec, bounds):
     return ["d_K", "f", "j"] + [f"X={b}" for b in table.bounds], rows
 
 
-def _table_coefficients(spec: HeightSpec):
+def _table_coefficients(spec: HeightSpec, bounds):
     import mpmath
 
     from . import asymptotics
@@ -302,34 +317,27 @@ def _table_relative_error(spec: HeightSpec, bounds):
     ]
 
 
-def cmd_tables(args) -> int:
-    spec = args.height
+def cmd_tables(args) -> None:
     if args.bounds and args.name in ("cm-minimal", "coefficients"):
-        print(f"error: --bounds applies to cm-counts and relative-error, not {args.name}",
-              file=sys.stderr)
-        return 2
-    if args.name == "cm-minimal":
-        headers, rows = _table_cm_minimal(spec)
-    elif args.name == "cm-counts":
-        headers, rows = _table_cm_counts(spec, args.bounds)
-    elif args.name == "coefficients":
-        headers, rows = _table_coefficients(spec)
-    else:  # relative-error
-        headers, rows = _table_relative_error(spec, args.bounds)
-    return _emit(args, headers, lambda: rows)
+        raise _Refusal(
+            2, f"error: --bounds applies to cm-counts and relative-error, not {args.name}")
+    headers, rows = {
+        "cm-minimal": _table_cm_minimal, "cm-counts": _table_cm_counts,
+        "coefficients": _table_coefficients, "relative-error": _table_relative_error,
+    }[args.name](args.height, args.bounds)
+    _emit(args, headers, lambda: rows)
 
 
 # --------------------------------------------------------------- verify --
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     from . import oracle
 
     try:
         oracle.scan_budget()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(2, f"error: {exc}") from None
     spec, x = args.height, args.bound
     tracked = args.j or []
     census = oracle.brute_census(spec, x, tracked_j=tracked)
@@ -344,17 +352,12 @@ def cmd_verify(args) -> int:
             (f"curves j={j}", families.count_curves_with_j(j, spec, x), tilde),
             (f"representatives j={j}", families.count_representatives_with_j(j, spec, x), rep),
         ]
-    failed = None
-    for name, formula, scanned in checks:
-        ok = formula == scanned
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: formula={formula} census={scanned}")
-        if not ok and failed is None:
-            failed = name
-    if failed is not None:
-        print(f"mismatch in family: {failed}", file=sys.stderr)
-        return 5
-    print(f"PASS  all formulas agree with the census of {census.box} at bound {x}")
-    return 0
+    _print(*(f"{'PASS' if formula == scanned else 'FAIL'}  {name}: formula={formula} "
+             f"census={scanned}" for name, formula, scanned in checks))
+    failed = [name for name, formula, scanned in checks if formula != scanned]
+    if failed:
+        raise _Refusal(5, f"mismatch in family: {failed[0]}")
+    _print(f"PASS  all formulas agree with the census of {census.box} at bound {x}")
 
 
 # ----------------------------------------------------------------- main --
@@ -418,23 +421,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so a closed pipe shows here, not at shutdown
-        return code
-    except BrokenPipeError:
-        # the reader left (as `| head` does): exit as SIGPIPE would, with
-        # stdout on devnull so the flush at shutdown is silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        args.func(args)
+        return 0
+    except _Refusal as exc:
+        code, line = exc.args
     except SpecialJError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, f"error: {exc}"
     except SingularCurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code, line = 4, f"error: {exc}"
     except ScanBudgetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 6
+        code, line = 6, f"refused: {exc}"
+    if line:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -78,7 +78,7 @@ def parse_height_spec(text: str) -> HeightSpec:
         return CALIBRATED
     if t == "ncal":
         return UNCALIBRATED
-    items = t.split(",")
+    items = [item.strip() for item in t.split(",")]
     try:
         parts = dict(item.split("/", 1) for item in items)
         if len(items) != 2 or parts.keys() != {"alpha", "beta"}:

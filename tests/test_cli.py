@@ -1,8 +1,10 @@
 """CLI tests: every command is a thin adapter over the library, with the
 documented exit codes and formats."""
 
+import ast
 import concurrent.futures
 import csv
+import errno
 import io
 import json
 import os
@@ -98,6 +100,18 @@ class TestCount:
             cli.main(argv)
         assert exc.value.code == 2
         assert "bad j-invariant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("j", [" cm:-7", "cm:-7 ", " -3375"])
+    def test_spaced_j(self, capsys, j):
+        # the same count as the unspaced -3375, which cm:-7 names
+        expected = families.count_curves_with_j(-3375, CALIBRATED, 10**9)
+        assert run(capsys, "count", "--family", "j", "--j", j, "--bound", "1e9") == (
+            0, f"{expected}\n", "")
+
+    def test_spaced_height(self, capsys):
+        code, out, _ = run(capsys, "count", "--family", "all", "--height", "alpha/4:1, beta/27:1",
+                           "--bound", "7000")
+        assert (code, out.strip()) == (0, "820")
 
     def test_malformed_bound_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -459,6 +473,49 @@ class TestBrokenPipe:
         assert err == b""
 
 
+def nhc_process(*argv, stdout=subprocess.PIPE):
+    """Run ``python -m nhc.cli`` on ``argv`` in a new process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "nhc.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFailedWrite:
+    # every write to /dev/full fails with ENOSPC
+    REASON = os.strerror(errno.ENOSPC)
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--family", "cm-rep", "--bound", "1e3"],
+        ["count", "--family", "cm-rep", "--bound", "1e3", "--asymptotic"],
+        ["twist", "--", "-240", "1408"],
+        ["verify", "--bound", "1e4", "--j", "cm"],
+        *(["tables", "--name", "cm-counts", "--format", fmt] for fmt in ("table", "csv", "json")),
+        *(["parametrize", "--j", "0", "--bound", "1e3", "--format", fmt]
+          for fmt in ("table", "csv", "json")),
+        # more than a pipe buffer: a write fails mid-listing, before the flush
+        ["parametrize", "--j", "0", "--bound", "1e9", "--format", "csv"],
+    ], ids=["count", "count-asymptotic", "twist", "verify", "tables-table", "tables-csv",
+            "tables-json", "parametrize-table", "parametrize-csv", "parametrize-json",
+            "parametrize-long"])
+    def test_full_stdout_exits_2_on_one_line(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = nhc_process(*argv, stdout=full)
+        assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {self.REASON}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--name", "cm-minimal", "--format", "csv"],
+        ["parametrize", "--j", "0", "--bound", "1e3"],
+        ["parametrize", "--j", "0", "--bound", "1e9", "--format", "json"],
+    ], ids=["tables", "parametrize", "parametrize-long"])
+    def test_full_output_file_exits_2_on_one_line(self, argv):
+        proc = nhc_process(*argv, "--output", "/dev/full")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: cannot write /dev/full: {self.REASON}\n"
+
+
 class TestVerify:
     def test_small_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--height", "cal", "--bound", "1e4",
@@ -543,6 +600,18 @@ class TestVerify:
         with pytest.raises(SystemExit):
             cli.main(["verify", "--help"])
         assert "--workers" not in capsys.readouterr().out
+
+    def test_census_oserror_is_no_write_failure(self, capsys, monkeypatch):
+        # a census pool that cannot fork is not relabelled as an output failure
+        from nhc import oracle
+
+        def no_fork(*args, **kwargs):
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(oracle, "brute_census", no_fork)
+        with pytest.raises(BlockingIOError):
+            cli.main(["verify", "--bound", "100"])
+        assert capsys.readouterr() == ("", "")
 
     def test_mismatch_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr(families, "count_curves", lambda spec, x: 10**9)
@@ -670,3 +739,22 @@ class TestFuzz:
         assert code in (0, 2, 3, 4, 6), argv
         assert len(err.getvalue().splitlines()) <= 1, argv
         assert (code == 0) == (err.getvalue() == ""), argv
+
+
+def test_main_alone_exits():
+    """Only ``main`` writes to stderr or returns a nonzero int: every other
+    function raises its refusal, and ``main`` turns it into its exit."""
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    stderr, nonzero = set(), set()
+    for top in tree.body:  # a nested function counts as the one around it
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                stderr.add(name)
+            if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                    and type(node.value.value) is int and node.value.value):
+                nonzero.add(name)
+    assert stderr == {"main"}
+    assert nonzero == set()

@@ -95,6 +95,11 @@ class TestSpecParsing:
         assert parse_height_spec(text) == spec
         assert parse_height_spec("alpha/4:1,beta/27:1") == CALIBRATED
 
+    @pytest.mark.parametrize("text", ["alpha/1:2, beta/3:1", " alpha/1:2 ,beta/3:1 ",
+                                      "alpha/1:2,beta/ 3:1", "ALPHA/1:2,\tbeta/3:1"])
+    def test_spaces_around_items(self, text):
+        assert parse_height_spec(text) == HeightSpec(Fraction(1, 2), Fraction(3))
+
     def test_bad_specs(self):
         for bad in ("", "calx", "alpha/4:1", "alpha/a:b,beta/1:1", "alpha/1:0,beta/1:1",
                     "alpha/1,beta/1,gamma/3", "alpha/1:1,alpha/2:1,beta/1:1"):

@@ -45,3 +45,14 @@ def test_command_line_example(line, capsys, monkeypatch, tmp_path):
     out = capsys.readouterr().out
     if comment.strip().startswith("->"):
         assert out == comment.strip()[2:].strip() + "\n"
+
+
+def test_exit_codes_documented_alike():
+    # README's "Exit codes" paragraph and the cli docstring name the same codes
+    with open(README) as fh:
+        text = fh.read()
+    paragraph = text[text.index("Exit codes:"):].split("\n\n")[0]
+    in_readme = {int(code) for code in re.findall(r"`(\d+)`", paragraph)}
+    sentence = cli.__doc__[cli.__doc__.index("Exit codes:"):].split(".  ")[0]
+    in_docstring = {int(code) for code in re.findall(r"[:,]\s+(\d+)\s", sentence)}
+    assert in_readme - {0} == in_docstring - {0} == {2, 3, 4, 5, 6, 141}
