@@ -71,12 +71,19 @@ def _check_digits(text: str) -> None:
             raise argparse.ArgumentTypeError(f"more than {_DIGIT_CAP} digits in {text[:40]!r}")
 
 
-def _parse_bound(text: str) -> Fraction:
+def _number(text: str, convert: Callable, error: str | None = None):
+    """``convert(text)`` for a numeric flag, once _check_digits passes the
+    text; a ValueError or ZeroDivisionError of ``convert`` is refused with
+    ``error`` formatted with the text, or else with its own message."""
     _check_digits(text)
     try:
-        value = Fraction(text)
+        return convert(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad bound {text!r}") from exc
+        raise argparse.ArgumentTypeError(error.format(text) if error else str(exc)) from exc
+
+
+def _parse_bound(text: str) -> Fraction:
+    value = _number(text, Fraction, "bad bound {!r}")
     if value <= 0:
         raise argparse.ArgumentTypeError("bound must be positive")
     return value
@@ -87,22 +94,6 @@ def _parse_bounds(text: str) -> list[Fraction]:
     return list(dict.fromkeys(_parse_bound(tok) for tok in text.split(",")))
 
 
-def _parse_height(text: str) -> HeightSpec:
-    _check_digits(text)
-    try:
-        return parse_height_spec(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_coefficient(text: str) -> int:
-    _check_digits(text)
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-
-
 def _parse_j(text: str) -> Fraction:
     text = text.strip()
     if text.startswith("cm:"):
@@ -111,20 +102,16 @@ def _parse_j(text: str) -> Fraction:
             return Fraction(cm.cm_order(int(disc), int(conductor) if sep else 1).j)
         except (ValueError, KeyError) as exc:
             raise argparse.ArgumentTypeError(f"bad CM alias {text!r}") from exc
-    _check_digits(text)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad j-invariant {text!r}") from exc
+    return _number(text, Fraction, "bad j-invariant {!r}")
 
 
 def _parse_j_list(text: str) -> list[Fraction]:
-    # "cm" is the thirteen CM j; a repeated j is checked once, in first-seen order
+    # "cm" is the thirteen CM j; the census tracks a repeated j once
     cm_js = [Fraction(o.j) for o in cm.CM_ORDERS]
     js = []
     for tok in filter(None, map(str.strip, text.split(","))):
         js += cm_js if tok.lower() == "cm" else [_parse_j(tok)]
-    return list(dict.fromkeys(js))
+    return js
 
 
 def _json_cell(value, as_string: bool) -> str:
@@ -247,7 +234,8 @@ _ROW_BUDGET = 10**6
 
 def cmd_parametrize(args) -> None:
     spec, x, j = args.height, args.bound, args.j
-    if args.squarefree_only and (j == 0 or j == 1728):
+    least, r = families._least_curve(j)
+    if args.squarefree_only and r != 6:
         raise SpecialJError("the square-free parameter rule belongs to the generic fixed-j "
                             "family; j = 0 and j = 1728 representatives are 6-free/4-free instead")
     count = (families.count_representatives_with_j if args.squarefree_only
@@ -257,7 +245,6 @@ def cmd_parametrize(args) -> None:
         raise ScanBudgetError(f"listing {listed} curves exceeds the budget of {_ROW_BUDGET} rows")
     bound = families.param_bound(j, spec, x)
     mu = moebius_sieve(bound) if args.squarefree_only else None
-    least, r = families._least_curve(j)
     least_height = height(spec, least)
     if least_height.denominator == 1:  # integer rows multiply faster than Fraction ones
         least_height = least_height.numerator
@@ -339,15 +326,13 @@ def cmd_verify(args) -> None:
     except ValueError as exc:
         raise _Refusal(2, f"error: {exc}") from None
     spec, x = args.height, args.bound
-    tracked = args.j or []
-    census = oracle.brute_census(spec, x, tracked_j=tracked)
+    census = oracle.brute_census(spec, x, tracked_j=args.j or ())
     checks = [
         ("curves", families.count_curves(spec, x), census.total_elliptic),
         ("representatives", families.count_representatives(spec, x), census.total_representatives),
         ("singular-locus", families.count_singular(spec, x), census.singular_points),
     ]
-    for j in tracked:
-        tilde, rep = census.per_j[j]
+    for j, (tilde, rep) in census.per_j.items():
         checks += [
             (f"curves j={j}", families.count_curves_with_j(j, spec, x), tilde),
             (f"representatives j={j}", families.count_representatives_with_j(j, spec, x), rep),
@@ -371,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, bound=True):
-        p.add_argument("--height", type=_parse_height, default="cal",
+        p.add_argument("--height", type=lambda t: _number(t, parse_height_spec), default="cal",
                        help="cal, ncal, or alpha/<num>:<den>,beta/<num>:<den>")
         if bound:
             p.add_argument("--bound", type=_parse_bound, required=True,
@@ -390,13 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--squarefree-only", action="store_true",
                    help="keep only Q-isomorphism class representatives (generic j)")
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_parametrize)
 
     p = sub.add_parser("twist", help="decompose a curve as d * representative")
-    p.add_argument("A", type=_parse_coefficient)
-    p.add_argument("B", type=_parse_coefficient)
+    for name in ("A", "B"):
+        p.add_argument(name, type=lambda t: _number(t, int, "invalid int value: {!r}"))
     p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("tables", help="emit a reference table")
@@ -405,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, bound=False)
     p.add_argument("--bounds", type=_parse_bounds,
                    help="comma-separated cutoffs for cm-counts and relative-error")
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="brute-force census vs the exact formulas")
@@ -415,6 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated j-invariants to track ('cm' = all thirteen)")
     p.set_defaults(func=cmd_verify)
 
+    for listing in (sub.choices["parametrize"], sub.choices["tables"]):
+        listing.add_argument("--format", choices=["table", "csv", "json"], default="table")
+        listing.add_argument("--output", help="write to a file instead of stdout")
     return parser
 
 
@@ -432,7 +416,10 @@ def main(argv=None) -> int:
     except ScanBudgetError as exc:
         code, line = 6, f"refused: {exc}"
     if line:
-        print(line, file=sys.stderr)
+        try:
+            print(line, file=sys.stderr)
+        except OSError:  # an unwritable stderr loses the line, not the exit code
+            pass
     return code
 
 

@@ -63,9 +63,14 @@ def _prime_flags(n: int) -> bytearray:
     return flags
 
 
+def _primes_to(n: int) -> list[int]:
+    """The primes p <= n: the trial divisors, and the census's moduli."""
+    return list(compress(range(n + 1), _prime_flags(n)))
+
+
 @cache
 def _small_primes() -> tuple[int, ...]:
-    return tuple(compress(range(_TRIAL_BOUND + 1), _prime_flags(_TRIAL_BOUND)))
+    return tuple(_primes_to(_TRIAL_BOUND))
 
 
 def is_prime(n: int) -> bool:

@@ -45,6 +45,7 @@ class HeightSpec(_Weights):
 
 CALIBRATED = HeightSpec(Fraction(4), Fraction(27))
 UNCALIBRATED = HeightSpec(Fraction(1), Fraction(1))
+_PRESETS = {"cal": CALIBRATED, "ncal": UNCALIBRATED}
 
 
 class HeightBox(NamedTuple):
@@ -74,10 +75,8 @@ def box(spec: HeightSpec, bound: int | Fraction) -> HeightBox:
 def parse_height_spec(text: str) -> HeightSpec:
     """Parse "cal", "ncal", or "alpha/<num>:<den>,beta/<num>:<den>"."""
     t = text.strip().lower()
-    if t == "cal":
-        return CALIBRATED
-    if t == "ncal":
-        return UNCALIBRATED
+    if t in _PRESETS:
+        return _PRESETS[t]
     items = [item.strip() for item in t.split(",")]
     try:
         parts = dict(item.split("/", 1) for item in items)
@@ -94,9 +93,8 @@ def parse_height_spec(text: str) -> HeightSpec:
 
 def format_height_spec(spec: HeightSpec) -> str:
     """Inverse of parse_height_spec (presets come back as their names)."""
-    if spec == CALIBRATED:
-        return "cal"
-    if spec == UNCALIBRATED:
-        return "ncal"
+    for name, preset in _PRESETS.items():
+        if spec == preset:
+            return name
     a, b = spec.alpha, spec.beta
     return f"alpha/{a.numerator}:{a.denominator},beta/{b.numerator}:{b.denominator}"

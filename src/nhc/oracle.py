@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from itertools import compress
 from typing import NamedTuple
 
-from .exactarith import ScanBudgetError, _prime_flags, iroot
+from .exactarith import ScanBudgetError, _primes_to, iroot
 from .heights import CALIBRATED, HeightBox, HeightSpec, box
 
 _COLUMN_COST = 3  # a column's own count, in tracked-j checks (2.4-2.9 at cal 1e13-1e15)
@@ -89,11 +88,6 @@ def _multiples(mods: list[int], n: int, i: int = 0) -> int:
             break
         total += n // mods[k] - _multiples(mods, n // mods[k], k + 1)
     return total
-
-
-def _primes_to(n: int) -> list[int]:
-    """The primes p <= n."""
-    return list(compress(range(n + 1), _prime_flags(n)))
 
 
 def _scan_stripe(args: tuple[range, int, tuple[Fraction, ...]]) -> tuple[int, ...]:

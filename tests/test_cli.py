@@ -244,10 +244,13 @@ class TestParametrize:
         assert peak < 2**20
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-    def test_non_integer_heights(self, capsys, fmt):
+    @pytest.mark.parametrize("j, bound", [(-3375, "1e9"), (0, "1e3"), (1728, "1e3")],
+                             ids=["r6", "r2", "r3"])
+    def test_non_integer_heights(self, capsys, fmt, j, bound):
+        # |m|^r H(A_j, B_j) for every r; both least heights are non-integers
         spec = parse_height_spec("alpha/1:2,beta/1:3")
-        code, out, _ = run(capsys, "parametrize", "--j=-3375", "--height", "alpha/1:2,beta/1:3",
-                           "--bound", "1e9", "--format", fmt)
+        code, out, _ = run(capsys, "parametrize", f"--j={j}", "--height", "alpha/1:2,beta/1:3",
+                           "--bound", bound, "--format", fmt)
         assert code == 0
         if fmt == "json":
             rows = [tuple(r.values()) for r in json.loads(out)]
@@ -258,7 +261,7 @@ class TestParametrize:
         assert len(rows) > 4
         assert any(Fraction(h).denominator > 1 for *_, h in rows)
         for m, a, b, h in rows:
-            curve = families.curve_from_parameter(-3375, int(m))
+            curve = families.curve_from_parameter(j, int(m))
             assert (int(a), int(b)) == curve
             assert Fraction(h) == height(spec, curve)
 
@@ -473,12 +476,12 @@ class TestBrokenPipe:
         assert err == b""
 
 
-def nhc_process(*argv, stdout=subprocess.PIPE):
+def nhc_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """Run ``python -m nhc.cli`` on ``argv`` in a new process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "nhc.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True,
+                          stderr=stderr, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
 
 
@@ -514,6 +517,18 @@ class TestFailedWrite:
         proc = nhc_process(*argv, "--output", "/dev/full")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: cannot write /dev/full: {self.REASON}\n"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["count", "--family", "all", "--bound", "x"], 2),  # argparse's own error
+        (["count", "--family", "j", "--bound", "100"], 2),
+        (["parametrize", "--j", "0", "--bound", "1e3", "--squarefree-only"], 3),
+        (["twist", "--", "0", "0"], 4),
+        (["count", "--family", "rep", "--bound", "1e200"], 6),
+    ], ids=["argparse", "2", "3", "4", "6"])
+    def test_full_stderr_keeps_the_exit_code(self, argv, code):
+        with open("/dev/full", "w") as full:
+            proc = nhc_process(*argv, stderr=full)
+        assert (proc.returncode, proc.stdout) == (code, "")
 
 
 class TestVerify:

@@ -67,6 +67,14 @@ class TestCensus:
         assert c.per_j == {Fraction(0): (2, 2)}
         assert list(curves_with_j(Fraction(0), c.box)) == [(0, -1), (0, 1)]
 
+    def test_tracked_j_once_in_first_seen_order(self):
+        # verify prints its per-j checks in this order
+        c = brute_census(CALIBRATED, 10**6, tracked_j=[1728, 0, Fraction(1728), -3375, 0])
+        assert list(c.per_j) == [1728, 0, -3375]
+        assert all(type(j) is Fraction for j in c.per_j)
+        for j, counts in c.per_j.items():
+            assert brute_census(CALIBRATED, 10**6, tracked_j=[j]).per_j[j] == counts
+
     def test_per_j_with_collection(self):
         c = brute_census(CALIBRATED, 10**6, tracked_j=[-3375])
         assert c.per_j[Fraction(-3375)] == (2, 2)

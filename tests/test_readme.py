@@ -10,6 +10,7 @@ import shlex
 import pytest
 
 import nhc.cli as cli
+from nhc import exactarith, oracle
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -56,3 +57,19 @@ def test_exit_codes_documented_alike():
     sentence = cli.__doc__[cli.__doc__.index("Exit codes:"):].split(".  ")[0]
     in_docstring = {int(code) for code in re.findall(r"[:,]\s+(\d+)\s", sentence)}
     assert in_readme - {0} == in_docstring - {0} == {2, 3, 4, 5, 6, 141}
+
+
+@pytest.mark.parametrize("pattern, value", [
+    (r"more than (\S+) digits", cli._DIGIT_CAP),
+    (r"sieve above (\S+) entries", exactarith._SIEVE_BUDGET),
+    (r"listing of more than (\S+) curves", cli._ROW_BUDGET),
+    (r"within (\S+) evaluations", exactarith._RHO_BUDGET),
+    (r"one worker per (\S+) of that work", oracle._POOL_WORK),
+], ids=["digits", "sieve", "rows", "rho", "pool"])
+def test_limits_documented_alike(pattern, value):
+    # each limit README states, as "250", "851,968" or "10^7", is the constant in force
+    with open(README) as fh:
+        text = " ".join(fh.read().split())
+    stated = [int(base.replace(",", "")) ** int(exp or 1)
+              for base, _, exp in (number.partition("^") for number in re.findall(pattern, text))]
+    assert stated and set(stated) == {value}
