@@ -6,8 +6,11 @@ one-parameter lattice.  Writing ord_p(a) for the exponent of p in a, set
     step_exp(p) = ceil(ord_p(a) / 2)   if ord_p(a) >= 0
                   ceil(ord_p(a) / 3)   if ord_p(a) < 0
 
-and step = prod p^step_exp(p).  Then t -> (t^2 / a, t^3 / a) is a bijection
-from step * Z onto the integral points (the origin corresponds to t = 0).
+and step = prod p^step_exp(p).  As ceil(e / 2) = e - floor(e / 2) and
+ceil(-f / 3) = -floor(f / 3), step is the numerator of |a| over its square
+part, divided by the cube part of the denominator.  Then
+t -> (t^2 / a, t^3 / a) is a bijection from step * Z onto the integral
+points (the origin corresponds to t = 0).
 ``families`` takes t = step, whose point has the least height, as the
 least curve (A_j, B_j) of a fixed j-invariant.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactarith import factorize_rational
+from .exactarith import power_part
 
 
 def cubic_param(a: int | Fraction) -> Fraction:
@@ -24,8 +27,5 @@ def cubic_param(a: int | Fraction) -> Fraction:
     a = Fraction(a)
     if a == 0:
         raise ValueError("cuspidal cubic needs a != 0")
-    step = Fraction(1)
-    for p, e in factorize_rational(a).factors.items():
-        # ceil division; e < 0 rounds toward zero as required
-        step *= Fraction(p) ** (-(-e // 2) if e >= 0 else -(-e // 3))
-    return step
+    num = abs(a.numerator)
+    return Fraction(num // power_part(num, 2), power_part(a.denominator, 3))

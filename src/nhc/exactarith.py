@@ -7,6 +7,9 @@ reduces to a handful of exact primitives collected here:
                               trial division, the last 256 large primes it
                               reported, then Brent's Pollard rho (past its
                               budget raises ScanBudgetError)
+    power_part(n, k)          the largest m with m^k | n, from the primes
+                              up to the cofactor's (k+1)-th root (one gcd
+                              per run past 10^4), factorize past 10^6
     moebius_sieve(N)          Moebius function on 0..N, read from one shared
                               sieve of bytes (Eratosthenes) that grows on
                               demand (at most 10^7 entries; larger raises
@@ -211,11 +214,11 @@ def factorize(n: int) -> Factorization:
     Trial division by small primes, then division by the primes that
     earlier calls reported (the last _KNOWN_PRIMES_CAP above _TRIAL_BOUND;
     a fixed j factors the primes of a(j) again as those of gcd(A, B)), then
-    Miller-Rabin plus Pollard rho on whatever survives.  A reported prime
-    below about 3.3e24 is proven prime (Miller-Rabin is deterministic
-    there); a larger one passed 40 seeded Miller-Rabin rounds and is a
-    probable prime.  A composite that rho cannot split within its budget
-    of evaluations raises ScanBudgetError.
+    Miller-Rabin, exact roots and Pollard rho on whatever survives.  A prime
+    reported below about 3.3e24 is proven prime (Miller-Rabin is
+    deterministic there); a larger one passed 40 seeded Miller-Rabin rounds
+    and is a probable prime.  A composite that rho cannot split within its
+    budget of evaluations raises ScanBudgetError.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -243,10 +246,68 @@ def factorize(n: int) -> Factorization:
                     del _known_primes[next(iter(_known_primes))]
                 _known_primes[m] = None
             continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        bits = m.bit_length()  # rho cannot split a prime power, but its exact root can
+        e = next((e for e in _small_primes() if e > bits or iroot(m, e) ** e == m), bits + 1)
+        d = iroot(m, e) if e <= bits else _pollard_rho(m)
+        stack += [d, m // d]
     return Factorization(sign, dict(sorted(out.items())))
+
+
+# _power_factors tries the primes in (_TRIAL_BOUND, _RUN_BOUND] a run of
+# _RUN_WIDTH integers at a time: one gcd with the product of a run's primes
+# tries them all (Bernstein, "How to find smooth parts of integers", 2004).
+_RUN_BOUND = 10**6
+_RUN_WIDTH = 2**12
+
+
+@cache
+def _prime_runs() -> tuple[tuple[int, int], ...]:
+    """(first integer, product of its primes) of each run; about 190 kB,
+    built on first need."""
+    flags = _prime_flags(_RUN_BOUND)
+    return tuple((lo, math.prod(compress(range(lo, _RUN_BOUND + 1), flags[lo : lo + _RUN_WIDTH])))
+                 for lo in range(_TRIAL_BOUND + 1, _RUN_BOUND + 1, _RUN_WIDTH))
+
+
+def _power_factors(n: int, k: int) -> dict[int, int]:
+    """{p: ord_p(n) // k} for the primes p with p^k | n != 0, increasing.
+
+    Primes leave the cofactor c while one up to iroot(c, k + 1) is untried;
+    then c has at most k prime factors, and one exact k-th root settles it.
+    A composite c with untried primes past the runs goes to factorize(n).
+    """
+    c, out = abs(n), {}
+    bound = iroot(c, k + 1)
+
+    def divide_out(p: int) -> None:
+        nonlocal c, bound
+        e = 0
+        while c % p == 0:
+            c //= p
+            e += 1
+        if e >= k:
+            out[p] = e // k
+        bound = iroot(c, k + 1)
+
+    for p in _small_primes():
+        if p > bound:
+            break
+        if c % p == 0:
+            divide_out(p)
+    for lo, product in _prime_runs() if bound > _TRIAL_BOUND else ():
+        if lo > bound:
+            break
+        while (g := math.gcd(c, product)) > 1:  # the least divisor of g is prime
+            divide_out(g if is_prime(g) else next(p for p in range(lo, g) if g % p == 0))
+    if bound > _RUN_BOUND and not is_prime(c):
+        return {p: e // k for p, e in factorize(n).factors.items() if e >= k}
+    r = iroot(c, k)
+    return out | {r: 1} if c > 1 and r**k == c else out
+
+
+def power_part(n: int, k: int) -> int:
+    """The largest m >= 1 with m^k | n, for nonzero n and k >= 2."""
+    return math.prod(p**e for p, e in _power_factors(n, k).items())
 
 
 def factorize_rational(q: Fraction) -> Factorization:

@@ -1,9 +1,10 @@
 """Definition-level arithmetic that only the tests need: the exponent of a
-prime in a rational, the k-free test by factoring, the term-by-term k-free
-and representative sums that the blocked ones in the package must equal,
-the singular bound of the height box, the fixed-j parameter bound from the
-height of the least curve, and the least curves of a j found by scanning
-the height box."""
+prime in a rational, the k-free test by factoring, the lattice step of a
+cuspidal cubic and the twist scale of a curve by factoring, the
+term-by-term k-free and representative sums that the blocked ones in the
+package must equal, the singular bound of the height box, the fixed-j
+parameter bound from the height of the least curve, and the least curves
+of a j found by scanning the height box."""
 
 import math
 from collections.abc import Iterator
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 from nhc import families
 from nhc.cm import CM_ORDERS
-from nhc.exactarith import factorize, iroot, is_prime, moebius_sieve
+from nhc.exactarith import factorize, factorize_rational, iroot, is_prime, moebius_sieve
 from nhc.heights import HeightBox, HeightSpec, box, height
 from nhc.oracle import _box_within_budget, _roots
 
@@ -43,6 +44,27 @@ def is_kfree(n: int, k: int) -> bool:
     if k < 2:
         raise ValueError("k-free needs k >= 2")
     return all(e < k for e in factorize(n).factors.values())
+
+
+def cubic_param_by_factoring(a: int | Fraction) -> Fraction:
+    """The lattice step of y^2 = a x^3 from every prime exponent e of a:
+    the product of p^ceil(e/2) for e > 0 and p^ceil(e/3) for e < 0."""
+    step = Fraction(1)
+    for p, e in factorize_rational(Fraction(a)).factors.items():
+        step *= Fraction(p) ** (-(-e // 2) if e >= 0 else -(-e // 3))
+    return step
+
+
+def twist_scale_by_factoring(a: int, b: int) -> int:
+    """The largest d with d^4 | A and d^6 | B, tried over every prime of
+    gcd(A, B)."""
+    d = 1
+    for p in factorize(math.gcd(a, b)).factors:
+        q = p
+        while a % q**4 == 0 and b % q**6 == 0:
+            d *= p
+            q *= p
+    return d
 
 
 def count_kfree_direct(limit: int, k: int) -> int:

@@ -332,6 +332,15 @@ class TestTwist:
         assert run(capsys, "twist", "--", "-15", "22")[1].strip() == "1 -15 22"
         assert run(capsys, "twist", "0", "64")[1].strip() == "2 0 1"
 
+    @pytest.mark.parametrize("a, b", [
+        (f"{(10**16 + 61) ** 2}",) * 2,  # the square of a 17-digit prime, which rho cannot split
+        (f"{3 * 1000000000039 * 3000000000013}", f"{5 * 1000000000039 * 3000000000013}"),
+    ], ids=["prime-square", "two-13-digit-primes"])
+    def test_answers_without_splitting_the_gcd(self, capsys, a, b):
+        # no fourth power divides gcd(A, B), and neither gcd reaches rho: an
+        # exact square root settles the first, the primes up to 10^6 the second
+        assert run(capsys, "twist", "--", a, b) == (0, f"1 {a} {b}\n", "")
+
     def test_singular_exits_4(self, capsys):
         code, _, err = run(capsys, "twist", "--", "-3", "2")
         assert code == 4

@@ -1,6 +1,8 @@
 """CM order table and CM counting tests (reference values frozen from the
 exact formulas and hand-checked heights)."""
 
+import math
+
 import pytest
 
 from nhc import cm, exactarith, families
@@ -50,6 +52,51 @@ class TestOrders:
     def test_unknown_order(self):
         with pytest.raises(KeyError):
             cm_order(-5)
+
+
+def frobenius_trace(curve, p: int) -> int:
+    """a_p = p + 1 - #E(F_p), counting the points of y^2 = x^3 + Ax + B."""
+    a, b = curve
+    chi = [-1] * p  # the quadratic character mod p
+    chi[0] = 0
+    for y in range(1, p):
+        chi[y * y % p] = 1
+    return -sum(chi[(x**3 + a * x + b) % p] for x in range(p))
+
+
+def frobenius_outside_order(curve, disc: int, f: int) -> list[int]:
+    """The primes 5 <= p < 600 of good reduction, prime to f, whose Frobenius
+    lies outside the order of discriminant disc * f^2: an inert p with
+    a_p != 0, or another p where 4p - a_p^2 is not |disc| f^2 times a square."""
+    outside = []
+    for p in exactarith._primes_to(600)[2:]:
+        if families.discriminant(curve) % p == 0 or f % p == 0:
+            continue
+        ap = frobenius_trace(curve, p)
+        if pow(disc, (p - 1) // 2, p) == p - 1:
+            inside = ap == 0
+        else:
+            q, r = divmod(4 * p - ap * ap, abs(disc) * f * f)
+            inside = r == 0 and math.isqrt(q) ** 2 == q
+        if not inside:
+            outside.append(p)
+    return outside
+
+
+class TestLeastCurvesByPointCounts:
+    """The least curves of the table have CM by their order, checked from
+    definitions: Frobenius, an element of trace a_p and norm p, lies in it."""
+
+    @pytest.mark.parametrize("order", CM_ORDERS, ids=lambda o: f"{o.disc}:{o.conductor}")
+    def test_frobenius_in_the_order(self, order):
+        least, _ = families._least_curve(order.j)
+        assert frobenius_outside_order(least, order.disc, order.conductor) == []
+
+    @pytest.mark.parametrize("j, disc, f", [(-3375, -8, 1), (16581375, -7, 4)],
+                             ids=["wrong-field", "wrong-conductor"])
+    def test_wrong_order_fails(self, j, disc, f):
+        least, _ = families._least_curve(j)
+        assert frobenius_outside_order(least, disc, f) != []
 
 
 class TestCounts:

@@ -15,7 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nhc
-from nhc import exactarith, oracle
+from nhc import exactarith, families, oracle
+from nhc.cuspidal import cubic_param
 from nhc.exactarith import (
     ScanBudgetError,
     count_kfree,
@@ -27,7 +28,13 @@ from nhc.exactarith import (
     moebius_sieve,
 )
 
-from arith_reference import count_kfree_direct, is_kfree, ord_p
+from arith_reference import (
+    count_kfree_direct,
+    cubic_param_by_factoring,
+    is_kfree,
+    ord_p,
+    twist_scale_by_factoring,
+)
 
 
 def mu_by_trial_division(n: int) -> int:
@@ -80,6 +87,15 @@ class TestFactorize:
     def test_round_trip_large(self):
         for n in (9873093538, 2631905352272628650988, -(2**18) * 3**3 * 5**3 * 23**3 * 29**3):
             assert factorize(n).value() == n
+
+    @pytest.mark.parametrize("p, e", [(10007, 3), (1000003, 7), (10**16 + 61, 2), (10**16 + 61, 6)])
+    def test_prime_powers_never_reach_rho(self, monkeypatch, p, e):
+        def no_rho(m):
+            raise AssertionError(f"rho ran on {m}")
+
+        monkeypatch.setattr(exactarith, "_pollard_rho", no_rho)
+        monkeypatch.setattr(exactarith, "_known_primes", {})
+        assert factorize(-7 * p**e).factors == {7: 1, p: e}
 
     def test_rho_budget_counts_every_retry(self, monkeypatch):
         # 703 = 19 * 37: x^2 + 1 collapses after 15 evaluations (batches of
@@ -192,9 +208,66 @@ class TestKnownPrimes:
         factorize(reported[-1] ** 2)  # a known prime is not added again
         assert list(exactarith._known_primes) == reported[-cap:]
         q = next_prime(reported[-1] + 1)
-        assert factorize(q**2).factors == {q: 2}  # rho reports q twice; it is kept once
+        assert factorize(q**2).factors == {q: 2}  # its root reports q twice; it is kept once
         assert list(exactarith._known_primes) == reported[1 - cap :] + [q]
         assert all(is_prime(r) for r in reported)
+
+
+def prev_prime(n: int) -> int:
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def cofactors_at_the_runs_end() -> list[int]:
+    """Integers free of primes up to 10^6 on either side of 10^(6(k+1)),
+    where the primes up to the (k+1)-th root stop settling the k-th power
+    part, then the named edges: p^2 beside 10^6, p^3 beside 10^4, and three
+    11-digit primes, whose power part needs factorize."""
+    cases = []
+    for k in (2, 3, 4):
+        t = 10 ** (6 * (k + 1))
+        cases += [
+            prev_prime(iroot(t, k)) ** k,
+            1000003 * prev_prime(t // 1000003),
+            next_prime(iroot(t, k) + 1) ** k,
+            1000003 * next_prime(t // 1000003),
+            1000003 ** (k + 1),
+        ]
+    return cases + [999983**2, 1000003**2, 10007**3, 10000000019 * 30000000001 * 70000000033]
+
+
+class TestPowerPart:
+    """The power parts against factorize, and cubic_param and _twist_scale
+    against the referees that factor fully."""
+
+    @staticmethod
+    def check(n: int) -> None:
+        for k in (2, 3, 4):
+            expected = {p: e // k for p, e in factorize(n).factors.items() if e >= k}
+            found = exactarith._power_factors(n, k)
+            assert found == expected and list(found) == list(expected)
+            assert exactarith.power_part(n, k) == math.prod(p**e for p, e in expected.items())
+        for a in Fraction(n, 7), Fraction(-7 * 5**4, n):
+            assert cubic_param(a) == cubic_param_by_factoring(a)
+        for a, b in (n, 6 * n), (-(2**8) * n, 0), (n**2, 3 * n**3):
+            assert families._twist_scale(a, b) == twist_scale_by_factoring(a, b)
+
+    @pytest.mark.parametrize("n", cofactors_at_the_runs_end())
+    def test_cofactors_at_the_runs_end(self, n):
+        for small in 1, -(2**5) * 3**7 * 10007**2 * 999983**4:
+            self.check(small * n)
+
+    def test_random_products(self):
+        rng = random.Random(27)
+        pools = (
+            (2, 3, 5, 7, 9973),
+            (10007, 999983, *(next_prime(rng.randrange(10**4, 10**6)) for _ in range(8))),
+            (1000003, *(next_prime(rng.randrange(10**6, 10**9)) for _ in range(8))),
+        )
+        for _ in range(100):
+            factors = (rng.choice(rng.choice(pools)) ** rng.randint(1, 7) for _ in range(rng.randint(0, 6)))
+            self.check(rng.choice((1, -1)) * math.prod(factors))
 
 
 class TestOrdP:

@@ -580,13 +580,12 @@ class TestMinimalCurves:
         assert len(calls) == 1
 
     def test_rho_once_per_fixed_j_and_twist(self, monkeypatch):
-        # a(j) = 4M / (27N) with N = n0 * p0 * p1 and M = 1728 D - N = p2:
-        # rho splits p0 * p1 once, and gcd(A, B) of the twist, which holds
-        # p0 * p1 * p2 again, is divided by the primes already certified
-        p0, p1, p2 = 100003, 100019, 100043
-        n = (-p2 * pow(p0 * p1, -1, 1728)) % 1728 * p0 * p1
-        j = Fraction(n, (n + p2) // 1728)
-        assert cubic_coefficient(j) == Fraction(4 * p2, 27 * n)
+        # a(j) = 4M / (27N) with N = n0 * core and M = 1728 D - N.  A balanced
+        # 18-digit M lies below 10^18, so the primes up to its cube root and
+        # one square root settle it without rho.  M = p1 * p2 of two 11-digit
+        # primes lies above 10^18, so rho splits it once; gcd(A, B) of the
+        # twist, which holds p0 * p1 * p2 again, is divided by the primes
+        # already certified.
         rho = exactarith._pollard_rho
         calls = []
 
@@ -595,11 +594,17 @@ class TestMinimalCurves:
             return rho(m)
 
         monkeypatch.setattr(exactarith, "_pollard_rho", counted)
-        monkeypatch.setattr(exactarith, "_known_primes", {})
-        families._least_curve.cache_clear()
-        (least, _), _ = minimal_curves(j, CALIBRATED)
-        assert twist_decompose(twist(least, 6)) == (6, least)
-        assert calls == [p0 * p1]
+        p0, p1, p2 = 30000000001, 10000000019, 20000000089
+        for m, core, splits in (999999937 * 999999929, 1, []), (p1 * p2, p0, [p1 * p2]):
+            n = (-m * pow(core, -1, 1728)) % 1728 * core
+            j = Fraction(n, (n + m) // 1728)
+            assert cubic_coefficient(j) == Fraction(4 * m, 27 * n)
+            calls.clear()
+            monkeypatch.setattr(exactarith, "_known_primes", {})
+            families._least_curve.cache_clear()
+            (least, _), _ = minimal_curves(j, CALIBRATED)
+            assert twist_decompose(twist(least, 6)) == (6, least)
+            assert calls == splits
 
     def test_least_curve_cache_bounded(self):
         families._least_curve.cache_clear()

@@ -1,7 +1,8 @@
 """Start-up imports: the exact subcommands load neither mpmath, the census
 process pool nor ``dataclasses`` and ``inspect`` (every record is a
-NamedTuple), a default ``verify`` loads the census but no pool, and the
-package resolves its public names on first use."""
+NamedTuple), a default ``verify`` loads the census but no pool, none of
+them builds the prime runs of ``exactarith``, and the package resolves its
+public names on first use."""
 
 import importlib
 import json
@@ -27,30 +28,57 @@ print(json.dumps([code, [m for m in {HEAVY!r} if m in sys.modules]]))
 """
 
 
-def heavy_modules_loaded(*argv) -> list[str]:
+# Runs each command given as a JSON list in one interpreter, then prints
+# their exit codes and how many times the prime runs were built.
+RUNS_PROBE = """
+import json, sys
+from nhc.cli import main
+from nhc.exactarith import _prime_runs
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, _prime_runs.cache_info().currsize]))
+"""
+
+
+def probe(source: str, *args) -> list:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", source, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=60,
     )
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def heavy_modules_loaded(*argv) -> list[str]:
+    code, loaded = probe(PROBE, *argv)
+    assert code == 0
     return loaded
 
 
-@pytest.mark.parametrize("argv", [
+EXACT_COMMANDS = [
     ("count", "--family", "cm-rep", "--bound", "1e3"),
     ("count", "--family", "j", "--j", "cm:-163", "--bound", "1e30"),
     ("twist", "--", "-240", "1408"),
     ("parametrize", "--j=-3375", "--bound", "1e9", "--squarefree-only", "--format", "json"),
     ("tables", "--name", "cm-minimal"),
     ("tables", "--name", "cm-counts", "--format", "csv"),
-], ids=["count", "count-j", "twist", "parametrize", "cm-minimal", "cm-counts"])
+]
+DEFAULT_VERIFY = ("verify", "--bound", "1e4", "--j", "cm")
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS,
+                         ids=["count", "count-j", "twist", "parametrize", "cm-minimal", "cm-counts"])
 def test_exact_commands_load_no_heavy_module(argv):
     assert heavy_modules_loaded(*argv) == []
+
+
+def test_exact_commands_and_verify_build_no_prime_runs():
+    # their primes all lie below 10^4, so the 190 kB of run products stay unbuilt
+    commands = [*EXACT_COMMANDS, DEFAULT_VERIFY]
+    assert probe(RUNS_PROBE, json.dumps(commands)) == [[0] * len(commands), 0]
 
 
 def test_asymptotic_count_loads_asymptotics():
@@ -60,7 +88,7 @@ def test_asymptotic_count_loads_asymptotics():
 
 def test_default_verify_starts_no_pool():
     # a serial census needs neither concurrent.futures nor multiprocessing
-    assert heavy_modules_loaded("verify", "--bound", "1e4", "--j", "cm") == ["nhc.oracle"]
+    assert heavy_modules_loaded(*DEFAULT_VERIFY) == ["nhc.oracle"]
 
 
 def test_every_public_name_resolves():
