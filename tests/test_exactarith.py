@@ -222,8 +222,10 @@ def prev_prime(n: int) -> int:
 def cofactors_at_the_runs_end() -> list[int]:
     """Integers free of primes up to 10^6 on either side of 10^(6(k+1)),
     where the primes up to the (k+1)-th root stop settling the k-th power
-    part, then the named edges: p^2 beside 10^6, p^3 beside 10^4, and three
-    11-digit primes, whose power part needs factorize."""
+    part, then the named edges: p^2 beside 10^6, p^3 beside 10^4, three
+    11-digit primes, whose power part needs factorize, and p^k q for the
+    two primes p < q on each side of 10^5, where the runs up to 10^5 must
+    reach p, or must not be taken for it."""
     cases = []
     for k in (2, 3, 4):
         t = 10 ** (6 * (k + 1))
@@ -234,6 +236,7 @@ def cofactors_at_the_runs_end() -> list[int]:
             1000003 * next_prime(t // 1000003),
             1000003 ** (k + 1),
         ]
+    cases += [p**k * q for p, q in ((99989, 99991), (100003, 100019)) for k in (2, 3, 4)]
     return cases + [999983**2, 1000003**2, 10007**3, 10000000019 * 30000000001 * 70000000033]
 
 
@@ -257,6 +260,18 @@ class TestPowerPart:
     def test_cofactors_at_the_runs_end(self, n):
         for small in 1, -(2**5) * 3**7 * 10007**2 * 999983**4:
             self.check(small * n)
+
+    @pytest.mark.parametrize("n,built", [
+        (4 * 10000000027583, []),  # a 14-digit prime is settled at once
+        (4 * 10012351 * 30010241, [10**5]),  # its cube root is 66,950
+        (4 * 1000012361 * 3000004999, [10**6]),  # past the runs: factorize
+    ])
+    def test_runs_built_as_far_as_needed(self, monkeypatch, n, built):
+        calls = []
+        runs = exactarith._prime_runs
+        monkeypatch.setattr(exactarith, "_prime_runs", lambda hi: calls.append(hi) or runs(hi))
+        assert exactarith._power_factors(n, 2) == {2: 1}
+        assert calls == built
 
     def test_random_products(self):
         rng = random.Random(27)

@@ -76,8 +76,10 @@ def test_exact_commands_load_no_heavy_module(argv):
 
 
 def test_exact_commands_and_verify_build_no_prime_runs():
-    # their primes all lie below 10^4, so the 190 kB of run products stay unbuilt
-    commands = [*EXACT_COMMANDS, DEFAULT_VERIFY]
+    # their primes all lie below 10^4, or past it alone: a(j) for j = 1/D is
+    # 4(1728D - 1)/27, and 1728D - 1 here is a 14-digit prime, settled at once
+    prime_cofactor = ("count", "--family", "j", "--j", "1/5787037053", "--bound", "1e30")
+    commands = [*EXACT_COMMANDS, DEFAULT_VERIFY, prime_cofactor]
     assert probe(RUNS_PROBE, json.dumps(commands)) == [[0] * len(commands), 0]
 
 
