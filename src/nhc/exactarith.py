@@ -4,12 +4,14 @@ Everything downstream (height boxes, cuspidal-cubic lattices, curve counts)
 reduces to a handful of exact primitives collected here:
 
     factorize(n)              sign and prime exponents of a nonzero integer:
-                              trial division, the last 256 large primes it
-                              reported, then Brent's Pollard rho (past its
-                              budget raises ScanBudgetError)
+                              the k = 1 walk of power_part; only a composite
+                              rest past 10^6 meets the memo of the last 256
+                              primes split off there, then Brent's Pollard
+                              rho (past its budget raises ScanBudgetError)
     power_part(n, k)          the largest m with m^k | n, from the primes
                               up to the cofactor's (k+1)-th root (one gcd
-                              per run past 10^4), factorize past 10^6
+                              per run past 10^4), exact roots and rho past
+                              10^6
     moebius_sieve(N)          Moebius function on 0..N, read from one shared
                               sieve of bytes (Eratosthenes) that grows on
                               demand (at most 10^7 entries; larger raises
@@ -45,8 +47,8 @@ from functools import cache
 from itertools import accumulate, compress, islice
 from typing import NamedTuple
 
-# Trial division handles all prime factors below this bound; Pollard rho
-# takes over for anything larger.
+# Trial division handles the prime factors below this bound; the runs of
+# _power_factors take over up to _RUN_BOUND, and Pollard rho past it.
 _TRIAL_BOUND = 10_000
 
 # Miller-Rabin with these witnesses is deterministic below this bound
@@ -200,59 +202,6 @@ class Factorization(NamedTuple):
         return int(v) if v.denominator == 1 else v
 
 
-# The last primes above _TRIAL_BOUND that factorize reported, oldest first
-# (a dict used as an insertion-ordered set), at most _KNOWN_PRIMES_CAP.
-# Those above _MR_DETERMINISTIC_BOUND passed 40 seeded Miller-Rabin rounds
-# only: they are probable primes, not proven ones.
-_KNOWN_PRIMES_CAP = 256
-_known_primes: dict[int, None] = {}
-
-
-def factorize(n: int) -> Factorization:
-    """Prime factorization of a nonzero integer.
-
-    Trial division by small primes, then division by the primes that
-    earlier calls reported (the last _KNOWN_PRIMES_CAP above _TRIAL_BOUND;
-    a fixed j factors the primes of a(j) again as those of gcd(A, B)), then
-    Miller-Rabin, exact roots and Pollard rho on whatever survives.  A prime
-    reported below about 3.3e24 is proven prime (Miller-Rabin is
-    deterministic there); a larger one passed 40 seeded Miller-Rabin rounds
-    and is a probable prime.  A composite that rho cannot split within its
-    budget of evaluations raises ScanBudgetError.
-    """
-    if n == 0:
-        raise ValueError("0 has no prime factorization")
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        for p in _known_primes:
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            if m > _TRIAL_BOUND and m not in _known_primes:
-                if len(_known_primes) >= _KNOWN_PRIMES_CAP:
-                    del _known_primes[next(iter(_known_primes))]
-                _known_primes[m] = None
-            continue
-        bits = m.bit_length()  # rho cannot split a prime power, but its exact root can
-        e = next((e for e in _small_primes() if e > bits or iroot(m, e) ** e == m), bits + 1)
-        d = iroot(m, e) if e <= bits else _pollard_rho(m)
-        stack += [d, m // d]
-    return Factorization(sign, dict(sorted(out.items())))
-
-
 # _power_factors tries the primes in (_TRIAL_BOUND, _RUN_BOUND] a run of
 # _RUN_WIDTH integers at a time: one gcd with the product of a run's primes
 # tries them all (Bernstein, "How to find smooth parts of integers", 2004).
@@ -270,13 +219,23 @@ def _prime_runs(hi: int) -> tuple[tuple[int, int], ...]:
                  for lo in range(_TRIAL_BOUND + 1, hi + 1, _RUN_WIDTH))
 
 
+# The last primes that splitting a rest past the runs reported, oldest first
+# (a dict used as an insertion-ordered set), at most _KNOWN_PRIMES_CAP; all
+# exceed _RUN_BOUND.  A fixed j splits the primes of a(j) again in gcd(A, B).
+# Those above _MR_DETERMINISTIC_BOUND passed 40 seeded Miller-Rabin rounds
+# only: they are probable primes, not proven ones.
+_KNOWN_PRIMES_CAP = 256
+_known_primes: dict[int, None] = {}
+
+
 def _power_factors(n: int, k: int) -> dict[int, int]:
     """{p: ord_p(n) // k} for the primes p with p^k | n != 0, increasing.
 
     Primes leave the cofactor c while one up to iroot(c, k + 1) is untried;
-    then c has at most k prime factors, and one exact k-th root settles it.
-    A prime c returns at once; a composite c with untried primes past the
-    runs goes to factorize(c).
+    then c has at most k prime factors, and one exact k-th root settles it
+    (at k = 1, c is 1 or prime and is its own root).  A prime c skips the
+    runs.  A composite c with untried primes past the runs is divided by
+    the known primes, then split by exact roots and Pollard rho.
     """
     c, out = abs(n), {}
     bound = iroot(c, k + 1)
@@ -296,18 +255,48 @@ def _power_factors(n: int, k: int) -> dict[int, int]:
             break
         if c % p == 0:
             divide_out(p)
-    if bound > _TRIAL_BOUND and is_prime(c):  # a prime has no k-th power part
-        return out
-    hi = _RUN_BOUND // 10 if bound <= _RUN_BOUND // 10 else _RUN_BOUND
-    for lo, product in _prime_runs(hi) if bound > _TRIAL_BOUND else ():
-        if lo > bound:
-            break
-        while (g := math.gcd(c, product)) > 1:  # the least divisor of g is prime
-            divide_out(g if is_prime(g) else next(p for p in range(lo, g) if g % p == 0))
-    if bound > _RUN_BOUND and not is_prime(c):  # its primes all exceed those tried
-        return out | {p: e // k for p, e in factorize(c).factors.items() if e >= k}
+    if bound > _TRIAL_BOUND and not is_prime(c):  # a prime skips the runs
+        hi = _RUN_BOUND // 10 if bound <= _RUN_BOUND // 10 else _RUN_BOUND
+        for lo, product in _prime_runs(hi):
+            if lo > bound:
+                break
+            while (g := math.gcd(c, product)) > 1:  # the least divisor of g is prime
+                divide_out(g if is_prime(g) else next(p for p in range(lo, g) if g % p == 0))
+        if bound > _RUN_BOUND and not is_prime(c):  # its primes all exceed those tried
+            for p in [p for p in _known_primes if c % p == 0]:
+                divide_out(p)
+            stack = [c] if c > 1 else []
+            while stack:  # divisors of c: a prime is divided out, a power rooted, the rest split
+                m = stack.pop()
+                if is_prime(m):
+                    if m not in _known_primes:
+                        if len(_known_primes) >= _KNOWN_PRIMES_CAP:
+                            del _known_primes[next(iter(_known_primes))]
+                        _known_primes[m] = None
+                    divide_out(m)
+                    continue
+                bits = m.bit_length()  # rho cannot split a prime power, but its exact root can
+                e = next((e for e in _small_primes() if e > bits or iroot(m, e) ** e == m), bits + 1)
+                stack += [iroot(m, e)] if e <= bits else [d := _pollard_rho(m), m // d]
+            return dict(sorted(out.items()))
     r = iroot(c, k)
     return out | {r: 1} if c > 1 and r**k == c else out
+
+
+def factorize(n: int) -> Factorization:
+    """Prime factorization of a nonzero integer: the k = 1 walk of
+    _power_factors, whose rest past the primes up to 10^6, if composite,
+    meets the last _KNOWN_PRIMES_CAP primes split off there (a fixed j
+    factors the primes of a(j) again as those of gcd(A, B)), then
+    Miller-Rabin, exact roots and Pollard rho.  A prime
+    reported below about 3.3e24 is proven prime (Miller-Rabin is
+    deterministic there); a larger one passed 40 seeded Miller-Rabin rounds
+    and is a probable prime.  A composite that rho cannot split within its
+    budget of evaluations raises ScanBudgetError.
+    """
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    return Factorization(1 if n > 0 else -1, _power_factors(n, 1))
 
 
 def power_part(n: int, k: int) -> int:
@@ -321,12 +310,9 @@ def factorize_rational(q: Fraction) -> Factorization:
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no prime factorization")
-    num = factorize(q.numerator)
-    out = dict(num.factors)
-    for p, e in factorize(q.denominator).factors.items():
-        out[p] = out.get(p, 0) - e
-    out = {p: e for p, e in sorted(out.items()) if e != 0}
-    return Factorization(num.sign, out)
+    num = _power_factors(q.numerator, 1)
+    den = {p: -e for p, e in _power_factors(q.denominator, 1).items()}  # no prime of num
+    return Factorization(1 if q > 0 else -1, dict(sorted((num | den).items())))
 
 
 # The largest Moebius sieve built, in entries: enough for representative

@@ -167,12 +167,17 @@ class TestCount:
 
     def test_factoring_budget_refused_after_other_primes(self, capsys, monkeypatch):
         monkeypatch.setattr(exactarith, "_known_primes", {})
-        # a fixed j whose a(j) needs rho, then a memo filled to its bound
-        assert run(capsys, "count", "--family", "j", "--j", f"{100003 * 100019}/7", "--bound", "1e30")[0] == 0
-        n = 10**6
-        while len(exactarith._known_primes) < exactarith._KNOWN_PRIMES_CAP:
-            n += 1
-            exactarith.factorize(n)
+        # a fixed j whose a(j) = 4M/(27N) needs rho on M = 10000000019 *
+        # 20000000089, then a memo filled to its bound by the squares of
+        # primes past 10^6, whose exact roots report them
+        families._least_curve.cache_clear()
+        assert run(capsys, "count", "--family", "j", "--j", "997/115740741475694446", "--bound", "1e30")[0] == 0
+        assert set(exactarith._known_primes) == {10000000019, 20000000089}
+        p = 10**6
+        for _ in range(exactarith._KNOWN_PRIMES_CAP):
+            p = next(q for q in range(p + 1, 2 * p) if exactarith.is_prime(q))
+            exactarith.factorize(p * p)
+        assert len(exactarith._known_primes) == exactarith._KNOWN_PRIMES_CAP
         for argv in (
             ("twist", "--", str(HARD_SEMIPRIME), str(HARD_SEMIPRIME)),
             ("count", "--family", "j", "--j", f"{HARD_SEMIPRIME}/7", "--bound", "1e10"),

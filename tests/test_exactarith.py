@@ -132,6 +132,19 @@ class TestFactorize:
                 with pytest.raises(ScanBudgetError, match=f"82-digit composite exceeds the budget of {budget} "):
                     exactarith._pollard_rho(long)
 
+    def test_composite_power_split_once(self, monkeypatch):
+        # the exact root of (pq)^e is split once, and p and q are divided out
+        # e times from the whole; splitting each of e copies took e rho runs
+        p, q = 10000000019, 20000000089
+        rho, calls = exactarith._pollard_rho, []
+        monkeypatch.setattr(exactarith, "_pollard_rho", lambda m: calls.append(m) or rho(m))
+        monkeypatch.setattr(exactarith, "_known_primes", {})
+        assert factorize((p * q) ** 3).factors == {p: 3, q: 3}
+        assert calls == [p * q]
+        exactarith._known_primes.clear()
+        assert families.twist_decompose(((p * q) ** 4 * 5, (p * q) ** 6 * 7)) == (p * q, (5, 7))
+        assert calls == [p * q] * 2
+
     def test_rational(self):
         f = factorize_rational(Fraction(-4, 27))
         assert f.sign == -1 and f.factors == {2: 2, 3: -3}
@@ -197,19 +210,20 @@ class TestKnownPrimes:
 
     def test_bounded_oldest_evicted_primes_only(self):
         cap = exactarith._KNOWN_PRIMES_CAP
-        factorize(2 * 9973)  # 9973 survives trial division, but is below its bound
+        factorize(2 * 999983 * 1000003)  # the runs find 999983; a prime rest is not split, so not kept
         assert exactarith._known_primes == {}
-        reported = [next_prime(10**5)]
+        reported = [next_prime(10**6)]
         while len(reported) < cap + 40:
             reported.append(next_prime(reported[-1] + 1))
         for i, p in enumerate(reported):
-            assert factorize(9973 * p).factors == {9973: 1, p: 1}
+            assert factorize(p**2).factors == {p: 2}  # past the runs, its root reports p
             assert list(exactarith._known_primes) == reported[max(0, i + 1 - cap) : i + 1]
-        factorize(reported[-1] ** 2)  # a known prime is not added again
-        assert list(exactarith._known_primes) == reported[-cap:]
+        assert factorize(reported[-1] * reported[-2]).factors == dict.fromkeys(reported[-2:], 1)
+        assert list(exactarith._known_primes) == reported[-cap:]  # known primes are not added again
         q = next_prime(reported[-1] + 1)
-        assert factorize(q**2).factors == {q: 2}  # its root reports q twice; it is kept once
-        assert list(exactarith._known_primes) == reported[1 - cap :] + [q]
+        assert factorize(q * reported[0]).factors == {reported[0]: 1, q: 1}  # rho reports both
+        known = list(exactarith._known_primes)
+        assert known[:-2] == reported[2 - cap :] and set(known[-2:]) == {reported[0], q}
         assert all(is_prime(r) for r in reported)
 
 
@@ -219,35 +233,62 @@ def prev_prime(n: int) -> int:
     return n
 
 
-def cofactors_at_the_runs_end() -> list[int]:
+def cofactors_at_the_runs_end() -> list[tuple[int, tuple[int, ...]]]:
     """Integers free of primes up to 10^6 on either side of 10^(6(k+1)),
     where the primes up to the (k+1)-th root stop settling the k-th power
     part, then the named edges: p^2 beside 10^6, p^3 beside 10^4, three
-    11-digit primes, whose power part needs factorize, and p^k q for the
+    11-digit primes, whose power part needs rho, and p^k q for the
     two primes p < q on each side of 10^5, where the runs up to 10^5 must
-    reach p, or must not be taken for it."""
+    reach p, or must not be taken for it.  Each comes with its primes."""
     cases = []
     for k in (2, 3, 4):
         t = 10 ** (6 * (k + 1))
+        below, above = prev_prime(iroot(t, k)), next_prime(iroot(t, k) + 1)
+        q_below, q_above = prev_prime(t // 1000003), next_prime(t // 1000003)
         cases += [
-            prev_prime(iroot(t, k)) ** k,
-            1000003 * prev_prime(t // 1000003),
-            next_prime(iroot(t, k) + 1) ** k,
-            1000003 * next_prime(t // 1000003),
-            1000003 ** (k + 1),
+            (below**k, (below,)),
+            (1000003 * q_below, (1000003, q_below)),
+            (above**k, (above,)),
+            (1000003 * q_above, (1000003, q_above)),
+            (1000003 ** (k + 1), (1000003,)),
         ]
-    cases += [p**k * q for p, q in ((99989, 99991), (100003, 100019)) for k in (2, 3, 4)]
-    return cases + [999983**2, 1000003**2, 10007**3, 10000000019 * 30000000001 * 70000000033]
+    cases += [(p**k * q, (p, q)) for p, q in ((99989, 99991), (100003, 100019)) for k in (2, 3, 4)]
+    cases += [(p**e, (p,)) for p, e in ((999983, 2), (1000003, 2), (10007, 3))]
+    primes = (10000000019, 30000000001, 70000000033)
+    return cases + [(math.prod(primes), primes)]
+
+
+def factors_from(n: int, primes: tuple[int, ...]) -> dict[int, int]:
+    """The prime exponents of n != 0, increasing: the given primes are
+    divided out, and what is left must be small enough to trial-divide."""
+    out, rest = {}, abs(n)
+    for p in primes:
+        while rest % p == 0:
+            out[p] = out.get(p, 0) + 1
+            rest //= p
+    d = 2
+    while d * d <= rest:
+        while rest % d == 0:
+            out[d] = out.get(d, 0) + 1
+            rest //= d
+        d += 1
+    if rest > 1:
+        out[rest] = out.get(rest, 0) + 1
+    return dict(sorted(out.items()))
 
 
 class TestPowerPart:
-    """The power parts against factorize, and cubic_param and _twist_scale
-    against the referees that factor fully."""
+    """factorize and the power parts against the primes each case is built
+    from, and cubic_param and _twist_scale against the referees that factor
+    fully."""
 
     @staticmethod
-    def check(n: int) -> None:
+    def check(n: int, primes: tuple[int, ...]) -> None:
+        full = factors_from(n, primes)
+        f = factorize(n)
+        assert f == (1 if n > 0 else -1, full) and list(f.factors) == list(full)
         for k in (2, 3, 4):
-            expected = {p: e // k for p, e in factorize(n).factors.items() if e >= k}
+            expected = {p: e // k for p, e in full.items() if e >= k}
             found = exactarith._power_factors(n, k)
             assert found == expected and list(found) == list(expected)
             assert exactarith.power_part(n, k) == math.prod(p**e for p, e in expected.items())
@@ -256,15 +297,17 @@ class TestPowerPart:
         for a, b in (n, 6 * n), (-(2**8) * n, 0), (n**2, 3 * n**3):
             assert families._twist_scale(a, b) == twist_scale_by_factoring(a, b)
 
-    @pytest.mark.parametrize("n", cofactors_at_the_runs_end())
-    def test_cofactors_at_the_runs_end(self, n):
+    CASES = cofactors_at_the_runs_end()
+
+    @pytest.mark.parametrize("n, primes", CASES, ids=[str(n) for n, _ in CASES])
+    def test_cofactors_at_the_runs_end(self, n, primes):
         for small in 1, -(2**5) * 3**7 * 10007**2 * 999983**4:
-            self.check(small * n)
+            self.check(small * n, primes + (10007, 999983))  # 2 and 3 by trial division
 
     @pytest.mark.parametrize("n,built", [
         (4 * 10000000027583, []),  # a 14-digit prime is settled at once
         (4 * 10012351 * 30010241, [10**5]),  # its cube root is 66,950
-        (4 * 1000012361 * 3000004999, [10**6]),  # past the runs: factorize
+        (4 * 1000012361 * 3000004999, [10**6]),  # past the runs: rho
     ])
     def test_runs_built_as_far_as_needed(self, monkeypatch, n, built):
         calls = []
@@ -280,9 +323,10 @@ class TestPowerPart:
             (10007, 999983, *(next_prime(rng.randrange(10**4, 10**6)) for _ in range(8))),
             (1000003, *(next_prime(rng.randrange(10**6, 10**9)) for _ in range(8))),
         )
+        primes = tuple(p for pool in pools for p in pool)
         for _ in range(100):
             factors = (rng.choice(rng.choice(pools)) ** rng.randint(1, 7) for _ in range(rng.randint(0, 6)))
-            self.check(rng.choice((1, -1)) * math.prod(factors))
+            self.check(rng.choice((1, -1)) * math.prod(factors), primes)
 
 
 class TestOrdP:

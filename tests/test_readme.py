@@ -65,7 +65,8 @@ def test_exit_codes_documented_alike():
     (r"listing of more than (\S+) curves", cli._ROW_BUDGET),
     (r"within (\S+) evaluations", exactarith._RHO_BUDGET),
     (r"one worker per (\S+) of that work", oracle._POOL_WORK),
-], ids=["digits", "sieve", "rows", "rho", "pool"])
+    (r"once its primes up to (\S+) are out", exactarith._RUN_BOUND),
+], ids=["digits", "sieve", "rows", "rho", "pool", "runs"])
 def test_limits_documented_alike(pattern, value):
     # each limit README states, as "250", "851,968" or "10^7", is the constant in force
     with open(README) as fh:
