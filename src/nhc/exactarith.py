@@ -4,10 +4,10 @@ Everything downstream (height boxes, cuspidal-cubic lattices, curve counts)
 reduces to a handful of exact primitives collected here:
 
     factorize(n)              sign and prime exponents of a nonzero integer:
-                              the k = 1 walk of power_part; only a composite
-                              rest past 10^6 meets the memo of the last 256
-                              primes split off there, then Brent's Pollard
-                              rho (past its budget raises ScanBudgetError)
+                              the k = 1 walk of power_part; the memo of the
+                              last 256 primes split off past 10^6 is tried
+                              before the runs, then Brent's Pollard rho
+                              (past its budget raises ScanBudgetError)
     power_part(n, k)          the largest m with m^k | n, from the primes
                               up to the cofactor's (k+1)-th root (one gcd
                               per run past 10^4), exact roots and rho past
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from collections import deque
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, compress, islice
@@ -220,12 +221,12 @@ def _prime_runs(hi: int) -> tuple[tuple[int, int], ...]:
 
 
 # The last primes that splitting a rest past the runs reported, oldest first
-# (a dict used as an insertion-ordered set), at most _KNOWN_PRIMES_CAP; all
-# exceed _RUN_BOUND.  A fixed j splits the primes of a(j) again in gcd(A, B).
-# Those above _MR_DETERMINISTIC_BOUND passed 40 seeded Miller-Rabin rounds
-# only: they are probable primes, not proven ones.
+# and at most _KNOWN_PRIMES_CAP; all exceed _RUN_BOUND.  A fixed j meets the
+# primes of a(j) again in gcd(A, B).  Those above _MR_DETERMINISTIC_BOUND
+# passed 40 seeded Miller-Rabin rounds only: they are probable primes, not
+# proven ones.
 _KNOWN_PRIMES_CAP = 256
-_known_primes: dict[int, None] = {}
+_known_primes: deque[int] = deque(maxlen=_KNOWN_PRIMES_CAP)
 
 
 def _power_factors(n: int, k: int) -> dict[int, int]:
@@ -233,9 +234,10 @@ def _power_factors(n: int, k: int) -> dict[int, int]:
 
     Primes leave the cofactor c while one up to iroot(c, k + 1) is untried;
     then c has at most k prime factors, and one exact k-th root settles it
-    (at k = 1, c is 1 or prime and is its own root).  A prime c skips the
-    runs.  A composite c with untried primes past the runs is divided by
-    the known primes, then split by exact roots and Pollard rho.
+    (at k = 1, c is 1 or prime and is its own root).  A c whose bound
+    passes the runs is first divided by the known primes.  A prime c skips
+    the runs, and a composite c with untried primes past them is split by
+    exact roots and Pollard rho.
     """
     c, out = abs(n), {}
     bound = iroot(c, k + 1)
@@ -255,6 +257,9 @@ def _power_factors(n: int, k: int) -> dict[int, int]:
             break
         if c % p == 0:
             divide_out(p)
+    if bound > _RUN_BOUND:
+        for p in [p for p in _known_primes if c % p == 0]:
+            divide_out(p)
     if bound > _TRIAL_BOUND and not is_prime(c):  # a prime skips the runs
         hi = _RUN_BOUND // 10 if bound <= _RUN_BOUND // 10 else _RUN_BOUND
         for lo, product in _prime_runs(hi):
@@ -263,36 +268,31 @@ def _power_factors(n: int, k: int) -> dict[int, int]:
             while (g := math.gcd(c, product)) > 1:  # the least divisor of g is prime
                 divide_out(g if is_prime(g) else next(p for p in range(lo, g) if g % p == 0))
         if bound > _RUN_BOUND and not is_prime(c):  # its primes all exceed those tried
-            for p in [p for p in _known_primes if c % p == 0]:
-                divide_out(p)
-            stack = [c] if c > 1 else []
+            stack = [c]
             while stack:  # divisors of c: a prime is divided out, a power rooted, the rest split
                 m = stack.pop()
-                if is_prime(m):
-                    if m not in _known_primes:
-                        if len(_known_primes) >= _KNOWN_PRIMES_CAP:
-                            del _known_primes[next(iter(_known_primes))]
-                        _known_primes[m] = None
+                if not is_prime(m):
+                    bits = m.bit_length()  # rho cannot split a prime power, but its exact root can
+                    e = next((e for e in _small_primes() if e > bits or iroot(m, e) ** e == m), bits + 1)
+                    stack += [iroot(m, e)] if e <= bits else [d := _pollard_rho(m), m // d]
+                elif m not in _known_primes:  # a known prime is out of c already
+                    _known_primes.append(m)
                     divide_out(m)
-                    continue
-                bits = m.bit_length()  # rho cannot split a prime power, but its exact root can
-                e = next((e for e in _small_primes() if e > bits or iroot(m, e) ** e == m), bits + 1)
-                stack += [iroot(m, e)] if e <= bits else [d := _pollard_rho(m), m // d]
-            return dict(sorted(out.items()))
     r = iroot(c, k)
-    return out | {r: 1} if c > 1 and r**k == c else out
+    return dict(sorted((out | {r: 1} if c > 1 and r**k == c else out).items()))
 
 
 def factorize(n: int) -> Factorization:
     """Prime factorization of a nonzero integer: the k = 1 walk of
-    _power_factors, whose rest past the primes up to 10^6, if composite,
-    meets the last _KNOWN_PRIMES_CAP primes split off there (a fixed j
-    factors the primes of a(j) again as those of gcd(A, B)), then
-    Miller-Rabin, exact roots and Pollard rho.  A prime
-    reported below about 3.3e24 is proven prime (Miller-Rabin is
-    deterministic there); a larger one passed 40 seeded Miller-Rabin rounds
-    and is a probable prime.  A composite that rho cannot split within its
-    budget of evaluations raises ScanBudgetError.
+    _power_factors.  A rest above 10^12 after trial division is divided by
+    the last _KNOWN_PRIMES_CAP primes split off past 10^6 before it meets
+    the primes up to 10^6 (a fixed j factors the primes of a(j) again as
+    those of gcd(A, B)); a composite rest past those meets Miller-Rabin,
+    exact roots and Pollard rho.  A prime reported below about 3.3e24 is
+    proven prime (Miller-Rabin is deterministic there); a larger one passed
+    40 seeded Miller-Rabin rounds and is a probable prime.  A composite that
+    rho cannot split within its budget of evaluations raises
+    ScanBudgetError.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")

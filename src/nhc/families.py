@@ -37,7 +37,7 @@ from itertools import compress, islice
 from typing import NamedTuple
 
 from .cuspidal import cubic_param
-from .exactarith import _power_factors, count_kfree, iroot, moebius_sieve
+from .exactarith import count_kfree, iroot, moebius_sieve, power_part
 from .heights import HeightBox, HeightSpec, box, height
 
 
@@ -72,17 +72,11 @@ def j_invariant(curve: WeierstrassCurve | tuple[int, int]) -> Fraction:
 def _twist_scale(a: int, b: int) -> int:
     """The largest d with d^4 | A and d^6 | B of a nonsingular curve.
 
-    Only primes whose fourth power divides gcd(A, B) can divide d;
-    gcd(0, n) = |n|, and a zero coordinate is divisible by every power, so
-    it puts no bound on d.
+    Any such d divides P = power_part(gcd(A, B), 4), so d is the sixth
+    power part of gcd(B, P^6).  gcd(0, n) = |n|, and a zero coordinate is
+    divisible by every power, so it puts no bound on d.
     """
-    d = 1
-    for p in _power_factors(math.gcd(a, b), 4):
-        q = p
-        while a % q**4 == 0 and b % q**6 == 0:
-            d *= p
-            q *= p
-    return d
+    return power_part(math.gcd(b, power_part(math.gcd(a, b), 4) ** 6), 6)
 
 
 def is_representative(curve: WeierstrassCurve | tuple[int, int]) -> bool:

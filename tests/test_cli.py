@@ -165,8 +165,7 @@ class TestCount:
             f"refused: factoring a 223-digit composite exceeds the budget of {budget} Pollard rho steps\n"
         )
 
-    def test_factoring_budget_refused_after_other_primes(self, capsys, monkeypatch):
-        monkeypatch.setattr(exactarith, "_known_primes", {})
+    def test_factoring_budget_refused_after_other_primes(self, capsys, fresh_memo):
         # a fixed j whose a(j) = 4M/(27N) needs rho on M = 10000000019 *
         # 20000000089, then a memo filled to its bound by the squares of
         # primes past 10^6, whose exact roots report them

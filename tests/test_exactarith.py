@@ -89,12 +89,11 @@ class TestFactorize:
             assert factorize(n).value() == n
 
     @pytest.mark.parametrize("p, e", [(10007, 3), (1000003, 7), (10**16 + 61, 2), (10**16 + 61, 6)])
-    def test_prime_powers_never_reach_rho(self, monkeypatch, p, e):
+    def test_prime_powers_never_reach_rho(self, monkeypatch, fresh_memo, p, e):
         def no_rho(m):
             raise AssertionError(f"rho ran on {m}")
 
         monkeypatch.setattr(exactarith, "_pollard_rho", no_rho)
-        monkeypatch.setattr(exactarith, "_known_primes", {})
         assert factorize(-7 * p**e).factors == {7: 1, p: e}
 
     def test_rho_budget_counts_every_retry(self, monkeypatch):
@@ -132,13 +131,12 @@ class TestFactorize:
                 with pytest.raises(ScanBudgetError, match=f"82-digit composite exceeds the budget of {budget} "):
                     exactarith._pollard_rho(long)
 
-    def test_composite_power_split_once(self, monkeypatch):
+    def test_composite_power_split_once(self, monkeypatch, fresh_memo):
         # the exact root of (pq)^e is split once, and p and q are divided out
         # e times from the whole; splitting each of e copies took e rho runs
         p, q = 10000000019, 20000000089
         rho, calls = exactarith._pollard_rho, []
         monkeypatch.setattr(exactarith, "_pollard_rho", lambda m: calls.append(m) or rho(m))
-        monkeypatch.setattr(exactarith, "_known_primes", {})
         assert factorize((p * q) ** 3).factors == {p: 3, q: 3}
         assert calls == [p * q]
         exactarith._known_primes.clear()
@@ -181,11 +179,8 @@ class TestBrentRho:
             assert 1 < d < n and n % d == 0
 
 
+@pytest.mark.usefixtures("fresh_memo")
 class TestKnownPrimes:
-    @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(exactarith, "_known_primes", {})
-
     @pytest.mark.parametrize("n", [
         -(2**3) * 10007**2 * 42083 * 342863 * 999999937,
         10007**3 * 9973,
@@ -204,14 +199,14 @@ class TestKnownPrimes:
         for known, splitter in ([], rho), (unrelated, rho), (own, no_rho), (unrelated[len(own):] + own, no_rho):
             monkeypatch.setattr(exactarith, "_pollard_rho", splitter)
             exactarith._known_primes.clear()
-            exactarith._known_primes.update(dict.fromkeys(known))
+            exactarith._known_primes.extend(known)
             f = factorize(n)
             assert f == expected and list(f.factors) == list(expected.factors)
 
     def test_bounded_oldest_evicted_primes_only(self):
         cap = exactarith._KNOWN_PRIMES_CAP
         factorize(2 * 999983 * 1000003)  # the runs find 999983; a prime rest is not split, so not kept
-        assert exactarith._known_primes == {}
+        assert list(exactarith._known_primes) == []
         reported = [next_prime(10**6)]
         while len(reported) < cap + 40:
             reported.append(next_prime(reported[-1] + 1))
@@ -294,7 +289,7 @@ class TestPowerPart:
             assert exactarith.power_part(n, k) == math.prod(p**e for p, e in expected.items())
         for a in Fraction(n, 7), Fraction(-7 * 5**4, n):
             assert cubic_param(a) == cubic_param_by_factoring(a)
-        for a, b in (n, 6 * n), (-(2**8) * n, 0), (n**2, 3 * n**3):
+        for a, b in (n, 6 * n), (-(2**8) * n, 0), (0, n), (n**2, n**2), (n**2, 3 * n**3):
             assert families._twist_scale(a, b) == twist_scale_by_factoring(a, b)
 
     CASES = cofactors_at_the_runs_end()
@@ -309,7 +304,7 @@ class TestPowerPart:
         (4 * 10012351 * 30010241, [10**5]),  # its cube root is 66,950
         (4 * 1000012361 * 3000004999, [10**6]),  # past the runs: rho
     ])
-    def test_runs_built_as_far_as_needed(self, monkeypatch, n, built):
+    def test_runs_built_as_far_as_needed(self, monkeypatch, fresh_memo, n, built):
         calls = []
         runs = exactarith._prime_runs
         monkeypatch.setattr(exactarith, "_prime_runs", lambda hi: calls.append(hi) or runs(hi))

@@ -1,10 +1,13 @@
 """Start-up imports: the exact subcommands load neither mpmath, the census
 process pool nor ``dataclasses`` and ``inspect`` (every record is a
 NamedTuple), a default ``verify`` loads the census but no pool, none of
-them builds the prime runs of ``exactarith``, and the package resolves its
-public names on first use."""
+them builds the prime runs of ``exactarith``, the package resolves its
+public names on first use, and no module but the census reads a private
+name of ``exactarith``."""
 
+import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +16,7 @@ import sys
 import pytest
 
 import nhc
+from nhc import asymptotics, cli, cm, cuspidal, families, oracle
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nhc.__file__)))
 HEAVY = ("mpmath", "concurrent.futures", "multiprocessing", "nhc.asymptotics", "nhc.oracle",
@@ -105,3 +109,23 @@ def test_every_public_name_resolves():
 def test_unknown_attribute_raises(name):
     with pytest.raises(AttributeError):
         getattr(nhc, name)
+
+
+def private_exactarith_names(module) -> set[str]:
+    """The ``_``-prefixed names that a module imports from ``exactarith``
+    or reads off it."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exactarith":
+            names.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "exactarith":
+            names.update([node.attr] if node.attr.startswith("_") else [])
+    return names
+
+
+def test_formulas_factor_through_public_names():
+    # the formulas factor through power_part alone; the census's moduli,
+    # _primes_to, are the one private name read outside exactarith
+    modules = (families, cuspidal, cm, asymptotics, cli, oracle)
+    found = {module.__name__: private_exactarith_names(module) for module in modules}
+    assert found == {module.__name__: set() for module in modules} | {"nhc.oracle": {"_primes_to"}}
