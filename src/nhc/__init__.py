@@ -50,7 +50,6 @@ _SUBMODULE_NAMES = {
         "Factorization",
         "ScanBudgetError",
         "count_kfree",
-        "factorize",
         "factorize_rational",
         "floor_rational_root",
         "iroot",

@@ -3,15 +3,17 @@
 Everything downstream (height boxes, cuspidal-cubic lattices, curve counts)
 reduces to a handful of exact primitives collected here:
 
-    factorize(n)              sign and prime exponents of a nonzero integer:
-                              the k = 1 walk of power_part; the memo of the
-                              last 256 primes split off past 10^6 is tried
-                              before the runs, then Brent's Pollard rho
-                              (past its budget raises ScanBudgetError)
     power_part(n, k)          the largest m with m^k | n, from the primes
                               up to the cofactor's (k+1)-th root (one gcd
                               per run past 10^4), exact roots and rho past
                               10^6
+    factorize_rational(q)     sign and prime exponents of a nonzero integer
+                              or rational: the k = 1 walk of power_part;
+                              the last 256 primes split off past 10^6 are
+                              tried before the runs, then Brent's Pollard
+                              rho (past its budget raises ScanBudgetError);
+                              a prime below about 3.3e24 is proven, a larger
+                              one probable
     moebius_sieve(N)          Moebius function on 0..N, read from one shared
                               sieve of bytes (Eratosthenes) that grows on
                               demand (at most 10^7 entries; larger raises
@@ -282,31 +284,19 @@ def _power_factors(n: int, k: int) -> dict[int, int]:
     return dict(sorted((out | {r: 1} if c > 1 and r**k == c else out).items()))
 
 
-def factorize(n: int) -> Factorization:
-    """Prime factorization of a nonzero integer: the k = 1 walk of
-    _power_factors.  A rest above 10^12 after trial division is divided by
-    the last _KNOWN_PRIMES_CAP primes split off past 10^6 before it meets
-    the primes up to 10^6 (a fixed j factors the primes of a(j) again as
-    those of gcd(A, B)); a composite rest past those meets Miller-Rabin,
-    exact roots and Pollard rho.  A prime reported below about 3.3e24 is
-    proven prime (Miller-Rabin is deterministic there); a larger one passed
-    40 seeded Miller-Rabin rounds and is a probable prime.  A composite that
-    rho cannot split within its budget of evaluations raises
-    ScanBudgetError.
-    """
-    if n == 0:
-        raise ValueError("0 has no prime factorization")
-    return Factorization(1 if n > 0 else -1, _power_factors(n, 1))
-
-
 def power_part(n: int, k: int) -> int:
     """The largest m >= 1 with m^k | n, for nonzero n and k >= 2."""
     return math.prod(p**e for p, e in _power_factors(n, k).items())
 
 
-def factorize_rational(q: Fraction) -> Factorization:
-    """Factorization of a nonzero rational; denominator primes get
-    negative exponents."""
+def factorize_rational(q: int | Fraction) -> Factorization:
+    """Prime factorization of a nonzero integer or rational: the k = 1 walk
+    of _power_factors on each side, denominator primes with negative
+    exponents.  The known primes are tried before the runs up to 10^6, and
+    a composite rest past them meets exact roots and Pollard rho, which
+    raises ScanBudgetError past its budget.  A prime below about 3.3e24 is
+    proven (Miller-Rabin is deterministic there); a larger one passed 40
+    seeded rounds and is only probable."""
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no prime factorization")
@@ -325,7 +315,7 @@ def factorize_rational(q: Fraction) -> Factorization:
 _SIEVE_BUDGET = 10**7
 _sieve = array("b")
 # Mertens prefix of _sieve: _mertens[n] = moebius(1) + ... + moebius(n).
-# count_kfree grows it as far as it reads; a rebuilt sieve empties it.
+# count_kfree grows it as far as it reads; a rebuilt sieve keeps its values.
 _mertens = array("i", [0])
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # +1 <-> -1 as signed bytes
 
@@ -335,13 +325,13 @@ def moebius_sieve(limit: int) -> array:
     sieve of signed bytes rebuilt only when asked past its end: from all 1s,
     each prime p negates every p-th byte and zeroes every p^2-th.  Never
     modify it."""
-    global _sieve, _mertens
+    global _sieve
     if limit > _SIEVE_BUDGET:
         raise ScanBudgetError(
             f"Moebius sieve up to {limit} exceeds the budget of {_SIEVE_BUDGET} entries"
         )
     if limit >= len(_sieve):
-        _sieve, _mertens = array("b"), array("i", [0])
+        _sieve = array("b")  # the old sieve is freed before the new one is built
         mu = bytearray([1]) * (limit + 1)
         flags = _prime_flags(limit)
         for p in compress(range(limit + 1), flags):
@@ -433,15 +423,11 @@ def count_kfree(limit: int, k: int) -> int:
         raise ValueError("count_kfree requires limit >= 0")
     if k < 2:
         raise ValueError("count_kfree requires k >= 2")
-    if limit == 0:
-        return 0
     r = iroot(limit, k)
     mu = moebius_sieve(r)
     blocks = iroot(limit // (_KFREE_BLOCK_COST * k) ** k, k + 1)
     s = iroot(limit // (blocks + 1), k)
     head = sum(mu[d] * (limit // d**k) for d in range(1, s + 1) if mu[d])
-    if not blocks:
-        return head
     if len(_mertens) <= r:
         run = accumulate(islice(mu, len(_mertens), r + 1), initial=_mertens[-1])
         next(run)  # the last value already stored

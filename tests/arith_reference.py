@@ -2,7 +2,8 @@
 prime in a rational, the k-free test by factoring, the lattice step of a
 cuspidal cubic and the twist scale of a curve by factoring, the
 term-by-term k-free and representative sums that the blocked ones in the
-package must equal, the singular bound of the height box, the fixed-j
+package must equal, the same counts by recursion over the twists (no
+Moebius function), the singular bound of the height box, the fixed-j
 parameter bound from the height of the least curve, and the least curves
 of a j found by scanning the height box."""
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from nhc import families
 from nhc.cm import CM_ORDERS
-from nhc.exactarith import factorize, factorize_rational, iroot, is_prime, moebius_sieve
+from nhc.exactarith import factorize_rational, iroot, is_prime, moebius_sieve
 from nhc.heights import HeightBox, HeightSpec, box, height
 from nhc.oracle import _box_within_budget, _roots
 
@@ -43,7 +44,7 @@ def is_kfree(n: int, k: int) -> bool:
         raise ValueError("0 is divisible by every prime power")
     if k < 2:
         raise ValueError("k-free needs k >= 2")
-    return all(e < k for e in factorize(n).factors.values())
+    return all(e < k for e in factorize_rational(n).factors.values())
 
 
 def cubic_param_by_factoring(a: int | Fraction) -> Fraction:
@@ -59,7 +60,7 @@ def twist_scale_by_factoring(a: int, b: int) -> int:
     """The largest d with d^4 | A and d^6 | B, tried over every prime of
     gcd(A, B)."""
     d = 1
-    for p in factorize(math.gcd(a, b)).factors:
+    for p in factorize_rational(math.gcd(a, b)).factors:
         q = p
         while a % q**4 == 0 and b % q**6 == 0:
             d *= p
@@ -72,6 +73,50 @@ def count_kfree_direct(limit: int, k: int) -> int:
     r = iroot(limit, k)
     mu = moebius_sieve(r)
     return sum(mu[d] * (limit // d**k) for d in range(1, r + 1) if mu[d])
+
+
+def count_kfree_by_powers(limit: int, k: int) -> int:
+    """Q_k(M) with no Moebius function: every n <= M is d^k times exactly
+    one k-free number, so Q_k(M) = M - sum_{d >= 2} Q_k(M // d^k).  The d
+    with one quotient form a block, and each quotient is counted once."""
+    memo = {}
+
+    def kfree(m: int) -> int:
+        if m not in memo:
+            total, d, r = m, 2, iroot(m, k)
+            while d <= r:
+                q = m // d**k
+                end = iroot(m // q, k)
+                total -= (end - d + 1) * kfree(q)
+                d = end + 1
+            memo[m] = total
+        return memo[m]
+
+    return kfree(limit)
+
+
+def count_representatives_by_twists(spec: HeightSpec, bound) -> int:
+    """Representatives with no Moebius function: every elliptic (A, B) is
+    the d-twist (d^4 A', d^6 B') of exactly one representative, so
+    R(x, y) = C(x, y) - sum_{d >= 2} R(x // d^4, y // d^6), where C(x, y)
+    counts the box's lattice points less its singular points (-3m^2, 2m^3).
+    The d with one child box form a block, and each box is counted once."""
+    memo = {}
+
+    def reps(x: int, y: int) -> int:
+        if (x, y) not in memo:
+            s = min(math.isqrt(x // 3), iroot(y // 2, 3))
+            total = (2 * x + 1) * (2 * y + 1) - (2 * s + 1)
+            d, dmax = 2, max(iroot(x, 4), iroot(y, 6))
+            while d <= dmax:
+                cx, cy = x // d**4, y // d**6
+                end = min(iroot(x // cx, 4) if cx else dmax, iroot(y // cy, 6) if cy else dmax)
+                total -= (end - d + 1) * reps(cx, cy)
+                d = end + 1
+            memo[x, y] = total
+        return memo[x, y]
+
+    return reps(*box(spec, bound))
 
 
 def singular_bound_direct(spec: HeightSpec, bound) -> int:

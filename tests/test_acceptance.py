@@ -22,7 +22,7 @@ import mpmath
 
 from nhc.asymptotics import cm_asymptotic, cm_coefficient_sum, coefficient_table, zeta_value
 from nhc.cm import CM_ORDERS, cm_count_table, cm_minimal_table, count_cm_representatives
-from nhc.exactarith import factorize, floor_rational_root
+from nhc.exactarith import factorize_rational, floor_rational_root
 from nhc.families import (
     count_curves,
     count_curves_with_j,
@@ -259,12 +259,12 @@ def test_criterion_9_parametrization_completeness():
         if j in (0, 1728):
             continue
         a = cubic_coefficient(j)
-        primes = set(factorize(abs(a.numerator)).factors) | set(factorize(a.denominator).factors)
+        primes = set(factorize_rational(a).factors)  # of numerator and denominator
         for m in range(-50, 51):
             if m == 0:
                 continue
             curve = curve_from_parameter(j, m)
-            for p in primes | set(factorize(m).factors):
+            for p in primes | set(factorize_rational(m).factors):
                 if ord_p(a, p) >= 0:
                     assert 2 * ord_p(m, p) <= ord_p(curve.A, p) <= 2 * ord_p(m, p) + 1
                 else:

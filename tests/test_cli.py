@@ -175,7 +175,7 @@ class TestCount:
         p = 10**6
         for _ in range(exactarith._KNOWN_PRIMES_CAP):
             p = next(q for q in range(p + 1, 2 * p) if exactarith.is_prime(q))
-            exactarith.factorize(p * p)
+            exactarith.factorize_rational(p * p)
         assert len(exactarith._known_primes) == exactarith._KNOWN_PRIMES_CAP
         for argv in (
             ("twist", "--", str(HARD_SEMIPRIME), str(HARD_SEMIPRIME)),

@@ -20,7 +20,6 @@ from nhc.cuspidal import cubic_param
 from nhc.exactarith import (
     ScanBudgetError,
     count_kfree,
-    factorize,
     factorize_rational,
     floor_rational_root,
     iroot,
@@ -29,6 +28,7 @@ from nhc.exactarith import (
 )
 
 from arith_reference import (
+    count_kfree_by_powers,
     count_kfree_direct,
     cubic_param_by_factoring,
     is_kfree,
@@ -58,27 +58,27 @@ def mu_by_trial_division(n: int) -> int:
 
 class TestFactorize:
     def test_one_is_empty_product(self):
-        f = factorize(1)
+        f = factorize_rational(1)
         assert f.sign == 1 and f.factors == {}
         assert f.value() == 1
 
     def test_hand_factored(self):
-        f = factorize(-209088)  # -2^6 3^3 11^2 by hand
+        f = factorize_rational(-209088)  # -2^6 3^3 11^2 by hand
         assert f.sign == -1
         assert f.factors == {2: 6, 3: 3, 11: 2}
 
     def test_conductor_shape(self):
-        assert factorize(425104).factors == {2: 4, 163: 2}
+        assert factorize_rational(425104).factors == {2: 4, 163: 2}
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            factorize(0)
         with pytest.raises(ValueError, match="0 has no prime factorization"):
             factorize_rational(0)
+        with pytest.raises(ValueError, match="0 has no prime factorization"):
+            factorize_rational(Fraction(0, 7))
 
     @given(st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0))
     def test_round_trip(self, n):
-        f = factorize(n)
+        f = factorize_rational(n)
         assert f.value() == n
         assert list(f.factors) == sorted(f.factors)
         assert all(is_prime(p) for p in f.factors)
@@ -86,7 +86,7 @@ class TestFactorize:
 
     def test_round_trip_large(self):
         for n in (9873093538, 2631905352272628650988, -(2**18) * 3**3 * 5**3 * 23**3 * 29**3):
-            assert factorize(n).value() == n
+            assert factorize_rational(n).value() == n
 
     @pytest.mark.parametrize("p, e", [(10007, 3), (1000003, 7), (10**16 + 61, 2), (10**16 + 61, 6)])
     def test_prime_powers_never_reach_rho(self, monkeypatch, fresh_memo, p, e):
@@ -94,7 +94,7 @@ class TestFactorize:
             raise AssertionError(f"rho ran on {m}")
 
         monkeypatch.setattr(exactarith, "_pollard_rho", no_rho)
-        assert factorize(-7 * p**e).factors == {7: 1, p: e}
+        assert factorize_rational(-7 * p**e).factors == {7: 1, p: e}
 
     def test_rho_budget_counts_every_retry(self, monkeypatch):
         # 703 = 19 * 37: x^2 + 1 collapses after 15 evaluations (batches of
@@ -137,7 +137,7 @@ class TestFactorize:
         p, q = 10000000019, 20000000089
         rho, calls = exactarith._pollard_rho, []
         monkeypatch.setattr(exactarith, "_pollard_rho", lambda m: calls.append(m) or rho(m))
-        assert factorize((p * q) ** 3).factors == {p: 3, q: 3}
+        assert factorize_rational((p * q) ** 3).factors == {p: 3, q: 3}
         assert calls == [p * q]
         exactarith._known_primes.clear()
         assert families.twist_decompose(((p * q) ** 4 * 5, (p * q) ** 6 * 7)) == (p * q, (5, 7))
@@ -188,7 +188,7 @@ class TestKnownPrimes:
         999999937 * 999999929,
     ])
     def test_same_answer_whatever_is_known(self, monkeypatch, n):
-        expected = factorize(n)
+        expected = factorize_rational(n)
         unrelated = [next_prime(10**6 + 1000 * i) for i in range(exactarith._KNOWN_PRIMES_CAP)]
         own = [p for p in expected.factors if p > exactarith._TRIAL_BOUND]
 
@@ -200,23 +200,24 @@ class TestKnownPrimes:
             monkeypatch.setattr(exactarith, "_pollard_rho", splitter)
             exactarith._known_primes.clear()
             exactarith._known_primes.extend(known)
-            f = factorize(n)
+            f = factorize_rational(n)
             assert f == expected and list(f.factors) == list(expected.factors)
 
     def test_bounded_oldest_evicted_primes_only(self):
         cap = exactarith._KNOWN_PRIMES_CAP
-        factorize(2 * 999983 * 1000003)  # the runs find 999983; a prime rest is not split, so not kept
+        # the runs find 999983; a prime rest is not split, so not kept
+        factorize_rational(2 * 999983 * 1000003)
         assert list(exactarith._known_primes) == []
         reported = [next_prime(10**6)]
         while len(reported) < cap + 40:
             reported.append(next_prime(reported[-1] + 1))
         for i, p in enumerate(reported):
-            assert factorize(p**2).factors == {p: 2}  # past the runs, its root reports p
+            assert factorize_rational(p**2).factors == {p: 2}  # past the runs, its root reports p
             assert list(exactarith._known_primes) == reported[max(0, i + 1 - cap) : i + 1]
-        assert factorize(reported[-1] * reported[-2]).factors == dict.fromkeys(reported[-2:], 1)
+        assert factorize_rational(reported[-1] * reported[-2]).factors == dict.fromkeys(reported[-2:], 1)
         assert list(exactarith._known_primes) == reported[-cap:]  # known primes are not added again
         q = next_prime(reported[-1] + 1)
-        assert factorize(q * reported[0]).factors == {reported[0]: 1, q: 1}  # rho reports both
+        assert factorize_rational(q * reported[0]).factors == {reported[0]: 1, q: 1}  # rho reports both
         known = list(exactarith._known_primes)
         assert known[:-2] == reported[2 - cap :] and set(known[-2:]) == {reported[0], q}
         assert all(is_prime(r) for r in reported)
@@ -273,14 +274,14 @@ def factors_from(n: int, primes: tuple[int, ...]) -> dict[int, int]:
 
 
 class TestPowerPart:
-    """factorize and the power parts against the primes each case is built
+    """factorize_rational and the power parts against the primes each case is built
     from, and cubic_param and _twist_scale against the referees that factor
     fully."""
 
     @staticmethod
     def check(n: int, primes: tuple[int, ...]) -> None:
         full = factors_from(n, primes)
-        f = factorize(n)
+        f = factorize_rational(n)
         assert f == (1 if n > 0 else -1, full) and list(f.factors) == list(full)
         for k in (2, 3, 4):
             expected = {p: e // k for p, e in full.items() if e >= k}
@@ -346,7 +347,7 @@ class TestOrdP:
 
 
 def mu_by_factorize(n: int) -> int:
-    exponents = factorize(n).factors.values()
+    exponents = factorize_rational(n).factors.values()
     if any(e > 1 for e in exponents):
         return 0
     return -1 if len(exponents) % 2 else 1
@@ -562,10 +563,30 @@ class TestCountKfree:
         assert count_kfree(10**12, 4) == expected
         assert len(exactarith._mertens) == 1001  # read up to 10^(12/4)
         assert list(exactarith._mertens) == [0, *accumulate(moebius_sieve(0)[1:1001])]
-        moebius_sieve(5000)  # a rebuilt sieve empties the prefix
-        assert list(exactarith._mertens) == [0]
+        sieve = moebius_sieve(5000)  # a rebuilt sieve keeps the prefix, and the prefix stays its sum
+        assert len(exactarith._mertens) == 1001
+        assert list(exactarith._mertens) == [0, *accumulate(sieve[1:1001])]
         assert count_kfree(10**12, 4) == expected
         assert len(exactarith._mertens) == 1001
+        assert count_kfree(10**16, 4) == count_kfree_direct(10**16, 4)  # a second rebuild, read past it
+        assert list(exactarith._mertens) == [0, *accumulate(moebius_sieve(0)[1:10001])]
+
+    @pytest.mark.parametrize("k, digits", [(2, 11), (4, 16), (6, 16)])
+    def test_against_power_recursion(self, k, digits):
+        # a referee with no Moebius function and no sieve
+        rng = random.Random(k)
+        for _ in range(60):
+            limit = int(10 ** rng.uniform(0, digits))
+            assert count_kfree(limit, k) == count_kfree_by_powers(limit, k), (limit, k)
+
+    def test_power_recursion_across_a_rebuild(self, fresh_sieve):
+        # the prefix read to 1000, the sieve rebuilt past its end, then
+        # counts below the old prefix, past it within the sieve, and past
+        # the sieve
+        assert count_kfree(10**12, 4) == count_kfree_by_powers(10**12, 4)
+        moebius_sieve(5000)
+        for limit, k in (10**11, 4), (10**7, 2), (10**14, 4), (10**10, 2), (10**12 - 1, 4):
+            assert count_kfree(limit, k) == count_kfree_by_powers(limit, k), (limit, k)
 
     def test_big_input(self):
         # against the direct definition via a plain sieve of flags

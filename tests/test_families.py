@@ -45,6 +45,7 @@ from arith_reference import curves_with_j
 
 from arith_reference import (
     count_cm_representatives_direct,
+    count_representatives_by_twists,
     count_representatives_direct,
     is_kfree,
     max_parameter_direct,
@@ -218,7 +219,7 @@ class TestParametrization:
                     assert a.denominator * curve.B**2 == a.numerator * curve.A**3
 
     def test_exponent_bounds(self):
-        from nhc.exactarith import factorize, factorize_rational
+        from nhc.exactarith import factorize_rational
 
         for j in [Fraction(v) for v in CM_J if v not in (0, 1728)] + sample_j_values():
             a = cubic_coefficient(j)
@@ -228,7 +229,7 @@ class TestParametrization:
                     continue
                 curve = curve_from_parameter(j, m)
                 # bounds hold trivially at primes dividing neither a nor m
-                for p in a_primes | set(factorize(m).factors):
+                for p in a_primes | set(factorize_rational(m).factors):
                     if ord_p(a, p) >= 0:
                         lo = 2 * ord_p(m, p)
                         assert lo <= ord_p(curve.A, p) <= lo + 1
@@ -495,6 +496,19 @@ class TestGlobalCounts:
         assert len(exactarith._sieve) > 1000
         assert list(exactarith._mertens) == [0]
 
+    # every spec to 10^48 and cal at 10^54, where the recursion over the
+    # twists takes 0.3-0.5 s over about 10^4 boxes
+    TWIST_CUTOFFS = [
+        *((spec, e) for spec in ("cal", "ncal", "alpha/37:5,beta/11:7") for e in (6, 10, 20, 30, 36, 42, 48)),
+        ("cal", 54),
+    ]
+
+    @pytest.mark.parametrize("spec_text,exponent", TWIST_CUTOFFS)
+    def test_representatives_match_twist_recursion(self, spec_text, exponent):
+        # a referee with no Moebius function and no sieve
+        spec, x = parse_height_spec(spec_text), 10**exponent
+        assert count_representatives(spec, x) == count_representatives_by_twists(spec, x)
+
     @settings(max_examples=50)
     @given(
         st.fractions(min_value=Fraction(1, 12), max_value=60, max_denominator=12),
@@ -618,7 +632,7 @@ class TestMinimalCurves:
         calls, runs, rho = [], exactarith._prime_runs, exactarith._pollard_rho
         monkeypatch.setattr(exactarith, "_prime_runs", lambda hi: calls.append(("runs", hi)) or runs(hi))
         monkeypatch.setattr(exactarith, "_pollard_rho", lambda m: calls.append(("rho", m)) or rho(m))
-        assert exactarith.factorize((p1 * p2) ** 3).factors == {p1: 3, p2: 3}
+        assert exactarith.factorize_rational((p1 * p2) ** 3).factors == {p1: 3, p2: 3}
         assert twist_decompose(twist(least, 6)) == (6, least)
         assert calls == []
 
