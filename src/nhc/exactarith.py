@@ -20,12 +20,11 @@ reduces to a handful of exact primitives collected here:
                               ScanBudgetError)
     iroot(n, k)               floor(n^(1/k)) for integers, exact
     floor_rational_root(q, k) floor(q^(1/k)) for rationals, exact
+    moebius_sum(term, edges)  sum_d moebius(d) * term(d) for a term of the
+                              quotients N // d^e: a head term by term, then
+                              blocks weighted by Mertens differences
     count_kfree(M, k)         number of k-free integers in [1, M], exact:
-                              the Moebius sum over d^k <= M term by term up
-                              to about M^(1/(k+1)); past it, d runs in
-                              blocks of constant v = floor(M / d^k), and
-                              each block adds v * (Mert(hi) - Mert(lo)),
-                              a difference of Mertens sums of the sieve
+                              the moebius_sum of floor(M / d^k)
 
 All results are exact.  Counting formulas in the rest of the package are
 floors of algebraic expressions, so "close enough" roots are never
@@ -48,7 +47,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, compress, islice
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 # Trial division handles the prime factors below this bound; the runs of
 # _power_factors take over up to _RUN_BOUND, and Pollard rho past it.
@@ -308,15 +307,16 @@ def factorize_rational(q: int | Fraction) -> Factorization:
 # The largest Moebius sieve built, in entries: enough for representative
 # counts up to a calibrated cutoff of about 1e84.  By tracemalloc it holds
 # 10 MB, one signed byte per entry (a list would hold 80 MB), and peaks at
-# 30 MB while it is built; count_representatives(cal, 1e84) peaks at
-# 27 MB and builds no Mertens prefix (1.7-2.3 s in a fresh process on
-# 2 vCPU, the sieve included), count_cm_representatives(cal, 1e72) at
-# 5 MB with a prefix of 890,899 entries.
+# 30 MB while it is built.  In a fresh process on 2 vCPU,
+# count_representatives(cal, 1e84) peaks at 51 MB resident with the sieve
+# and a Mertens prefix of 8,908,988 entries (first call 2.0-2.6 s, repeats
+# 0.7-1.2 s), count_cm_representatives(cal, 1e72) at 19 MB (890,899).
 _SIEVE_BUDGET = 10**7
 _sieve = array("b")
-# Mertens prefix of _sieve: _mertens[n] = moebius(1) + ... + moebius(n).
-# count_kfree grows it as far as it reads; a rebuilt sieve keeps its values.
-_mertens = array("i", [0])
+# Mertens prefix of _sieve, _mertens[n] = moebius(1) + ... + moebius(n), grown
+# by moebius_sum as far as it reads and kept across sieve rebuilds.  Below
+# _SIEVE_BUDGET |Mert(n)| <= 1,143: 16 bits hold it (array raises, never wraps).
+_mertens = array("h", [0])
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # +1 <-> -1 as signed bytes
 
 
@@ -352,19 +352,21 @@ _FLOAT_ROOT_BITS = 48
 def iroot(n: int, k: int) -> int:
     """The unique m >= 0 with m^k <= n < (m+1)^k, for n >= 0, k >= 1.
 
-    Below 2^(48k) (and 2^1023) the seed is int(n ** (1/k)), within about 1
-    of the root; above, Newton iteration on integers from 2^ceil(bits/k).
-    Either seed is then corrected against exact powers, so the result never
-    trusts floating point.
+    An even k halves through math.isqrt.  Below 2^(48k) (and 2^1023) the
+    seed is int(n ** (1/k)), within about 1 of the root; above, Newton
+    iteration on integers from 2^ceil(bits/k).  Either seed is then
+    corrected against exact powers, so the result never trusts floats.
     """
+    if k == 2 and n >= 0:
+        return math.isqrt(n)
     if n < 0:
         raise ValueError("iroot requires n >= 0")
     if k < 1:
         raise ValueError("iroot requires k >= 1")
+    if k % 2 == 0:  # floor(n^(1/k)) = floor(isqrt(n)^(2/k)): floors nest
+        return iroot(math.isqrt(n), k // 2)
     if n == 0 or k == 1:
         return n
-    if k == 2:
-        return math.isqrt(n)
     bits = n.bit_length()
     if bits <= _FLOAT_ROOT_BITS * k and bits < 1024:
         x = int(n ** (1 / k))
@@ -394,43 +396,67 @@ def floor_rational_root(q: int | Fraction, k: int) -> int:
     return iroot(q.numerator // q.denominator, k)
 
 
-# A block of count_kfree costs an iroot, about as much as this many single
-# terms; s terms and V = M / s^k blocks then cost least at s = cost * k * V.
-_KFREE_BLOCK_COST = 3
+# A block of moebius_sum costs a root per edge and a term, about this many
+# head terms (counts at cal 1e24-1e51 move by a few percent from 4 to 8).
+_BLOCK_COST = 5
+_PLUS = bytes.maketrans(b"\xff", b"\x00")  # keeps the +1 of moebius bytes
+_MINUS = bytes.maketrans(b"\x01", b"\x00")  # keeps the -1
+
+
+def moebius_sum(term: Callable[[int], int], edges: list[tuple[int, int]]) -> int:
+    """sum_{d >= 1} moebius(d) * term(d), exactly, for edges (N, e) with
+    N >= 0 and a term that depends on d only through the quotients
+    N // d^e, and is 0 where they all are.
+
+    The terms vanish past dmax = max iroot(N, e).  The d <= D are summed
+    one by one, the +1 and the -1 of the sieve apart.  Past D, d runs in
+    maximal blocks of constant quotients: q = N // d^e holds up to
+    iroot(N // q, e) while q > 0, and a zero quotient stays zero.  So the
+    block (lo, hi] adds term(lo + 1) * (Mert(hi) - Mert(lo)), with
+    Mert(n) = sum_{d <= n} moebius(d) read from the shared prefix, grown
+    to dmax.  About N / D^e blocks remain per edge, each costing c =
+    _BLOCK_COST terms, so the head and the blocks cost least at D = the
+    largest (c e N)^(1/(e+1)), or dmax if smaller.  The sieve to dmax is
+    asked for first, so a sum past its budget is refused before any term
+    is evaluated.
+    """
+    dmax = lo = 0
+    for n, e in edges:  # plain tests: max() would cost about as much as a root
+        if (r := iroot(n, e)) > dmax:
+            dmax = r
+        if (r := iroot(_BLOCK_COST * e * n, e + 1)) > lo:
+            lo = r
+    mu = moebius_sieve(dmax)
+    if len(_mertens) <= dmax:
+        run = accumulate(islice(mu, len(_mertens), dmax + 1), initial=_mertens[-1])
+        next(run)  # the last value already stored
+        _mertens.extend(run)
+    mert = _mertens
+    lo = min(lo, dmax)
+    signs, ds = mu[1 : lo + 1].tobytes(), range(1, lo + 1)
+    total = sum(map(term, compress(ds, signs.translate(_PLUS))))
+    total -= sum(map(term, compress(ds, signs.translate(_MINUS))))
+    m_lo = mert[lo]
+    while lo < dmax:
+        d = lo + 1
+        hi = dmax
+        for n, e in edges:
+            if q := n // d**e:
+                r = iroot(n // q, e)
+                if r < hi:
+                    hi = r
+        if (m_hi := mert[hi]) != m_lo:  # a block with no net moebius adds nothing
+            total += term(d) * (m_hi - m_lo)
+            m_lo = m_hi
+        lo = hi
+    return total
 
 
 def count_kfree(limit: int, k: int) -> int:
-    """Number of k-free integers in [1, limit], exactly.
-
-    Inclusion-exclusion over k-th powers:
-
-        Q_k(M) = sum_{d <= M^(1/k)} moebius(d) * floor(M / d^k).
-
-    With V = floor((M / (3k)^k)^(1/(k+1))) and h(v) = floor((M // v)^(1/k)),
-    the d <= s = h(V + 1) are summed one by one.  Every other d has
-    floor(M / d^k) = v <= V exactly for h(v + 1) < d <= h(v), so with the
-    Mertens function Mert(n) = sum_{d <= n} moebius(d) the block of v adds
-    v * (Mert(h(v)) - Mert(h(v + 1))).  Summed by parts over v:
-
-        Q_k(M) = sum_{d <= s} moebius(d) floor(M / d^k)
-                 + sum_{v <= V} Mert(h(v)) - V Mert(s),
-
-    which costs s terms and V roots, each root about 3 terms; s = 3kV
-    balances them (see _KFREE_BLOCK_COST).  Mert is read from a prefix of
-    the shared sieve, grown as far as h(1) = floor(M^(1/k)).
-    """
+    """Number of k-free integers in [1, limit], exactly: the inclusion-
+    exclusion sum_d moebius(d) * floor(limit / d^k) over k-th powers."""
     if limit < 0:
         raise ValueError("count_kfree requires limit >= 0")
     if k < 2:
         raise ValueError("count_kfree requires k >= 2")
-    r = iroot(limit, k)
-    mu = moebius_sieve(r)
-    blocks = iroot(limit // (_KFREE_BLOCK_COST * k) ** k, k + 1)
-    s = iroot(limit // (blocks + 1), k)
-    head = sum(mu[d] * (limit // d**k) for d in range(1, s + 1) if mu[d])
-    if len(_mertens) <= r:
-        run = accumulate(islice(mu, len(_mertens), r + 1), initial=_mertens[-1])
-        next(run)  # the last value already stored
-        _mertens.extend(run)
-    mert = _mertens
-    return head + sum(mert[iroot(limit // v, k)] for v in range(1, blocks + 1)) - blocks * mert[s]
+    return moebius_sum(lambda d: limit // d**k, [(limit, k)])

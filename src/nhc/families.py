@@ -33,11 +33,10 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import compress, islice
 from typing import NamedTuple
 
 from .cuspidal import cubic_param
-from .exactarith import count_kfree, iroot, moebius_sieve, power_part
+from .exactarith import count_kfree, iroot, moebius_sum, power_part
 from .heights import HeightBox, HeightSpec, box, height
 
 
@@ -210,65 +209,26 @@ def count_curves(spec: HeightSpec, bound: int | Fraction) -> int:
     return _elliptic_in_box(*b, _max_parameter(_CUSP, 6, b))
 
 
-# A block of count_representatives costs up to two roots and a count of
-# sieve bytes, about as much as this many head terms (8-9 us against about
-# 1 us per d, measured at cal 1e54-1e72 on 2 vCPU; the total varies by a
-# few percent for any value from 6 to 16).
-_REP_BLOCK_COST = 8
-
-
 def count_representatives(spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of Q-isomorphism class representatives with height
     <= bound, via Moebius inversion over the twist decomposition:
+    sum_{d >= 1} moebius(d) * count_curves(bound / d^12).
 
-        sum_{d >= 1} moebius(d) * count_curves(bound / d^12).
-
-    floor(floor(u) / n) = floor(u / n) for every positive integer n (and
-    isqrt(floor(u)) = floor(sqrt(u)), likewise for cube roots), so the core
-    (xb, yb, s) at bound / d^12 is (x, y, t) = (xb // d^4, yb // d^6,
-    s // d^2): the certified roots are taken once, and t is the singular
-    bound of the box (x, y).  Past d = dmax = max(xb^(1/4), yb^(1/6)) the
-    box holds only the origin and the terms vanish.
-
-    The d <= D are summed one by one (the square-free ones, d^4 and d^6 by
-    multiplication).  Past D, d runs in maximal blocks on which x and y,
-    and so t, are constant: x = floor(xb / d^4) holds up to d^4 <= xb // x,
-    that is d <= isqrt(isqrt(xb // x)), and y up to d <= iroot(isqrt(yb //
-    y), 3), each while nonzero.  A block (lo, hi] adds the box term times
-    Mert(hi) - Mert(lo), the +1 bytes of the sieve on it less the -1 bytes.
-    About xb / D^4 + yb / D^6 blocks remain, each costing c =
-    _REP_BLOCK_COST terms, so the total is least at
-
-        D = max((4c xb)^(1/5), (6c yb)^(1/7))
-
-    (or dmax, if smaller).  The sieve to dmax is asked for first, so a
-    cutoff past its budget is refused before any term is summed.
+    floor(floor(u) / n) = floor(u / n) for integers n > 0, and likewise
+    for the certified roots, so the box core at bound / d^12 is the
+    quotients (xb // d^4, yb // d^6, s // d^2); s // d^2, the singular
+    bound of the first two, changes only with them.  So the sum is a
+    moebius_sum over the edges (xb, 4) and (yb, 6).
     """
     b = box(spec, bound)
     xb, yb, s = *b, _max_parameter(_CUSP, 6, b)
-    dmax = max(iroot(xb, 4), iroot(yb, 6))
-    mu = moebius_sieve(dmax)
-    c = _REP_BLOCK_COST
-    lo = min(dmax, max(iroot(4 * c * xb, 5), iroot(6 * c * yb, 7)))
-    total = 0
-    for d in compress(range(1, lo + 1), islice(mu, 1, lo + 1)):
+
+    def term(d: int) -> int:  # _elliptic_in_box(xb // d^4, yb // d^6, s // d^2), one call fewer
         d2 = d * d
         d4 = d2 * d2
-        total += mu[d] * _elliptic_in_box(xb // d4, yb // (d4 * d2), s // d2)
-    signs = memoryview(mu).cast("B")  # moebius -1 reads as 255
-    while lo < dmax:
-        d2 = (lo + 1) ** 2
-        d4 = d2 * d2
-        x, y = xb // d4, yb // (d4 * d2)
-        hi = dmax
-        if x:
-            hi = min(hi, math.isqrt(math.isqrt(xb // x)))
-        if y:
-            hi = min(hi, iroot(math.isqrt(yb // y), 3))
-        block = bytes(signs[lo + 1 : hi + 1])
-        total += _elliptic_in_box(x, y, s // d2) * (block.count(1) - block.count(255))
-        lo = hi
-    return total
+        return (2 * (xb // d4) + 1) * (2 * (yb // (d4 * d2)) + 1) - 2 * (s // d2) - 1
+
+    return moebius_sum(term, [(xb, 4), (yb, 6)])
 
 
 def minimal_curves(

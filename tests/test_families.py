@@ -8,6 +8,7 @@ parametrization is checked pointwise against the j-invariant definition.
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -491,16 +492,28 @@ class TestGlobalCounts:
             count_cm_representatives(spec, 10**exponent),
         ) == self.PINNED[spec_text, exponent]
 
-    def test_representatives_build_no_mertens_prefix(self, fresh_sieve):
+    def test_representatives_grow_the_mertens_prefix(self, fresh_sieve):
+        # the block walk reads Mert from the shared prefix, grown to dmax
         count_representatives(CALIBRATED, 10**60)
-        assert len(exactarith._sieve) > 1000
-        assert list(exactarith._mertens) == [0]
+        xb, yb = box(CALIBRATED, 10**60)
+        dmax = max(exactarith.iroot(xb, 4), exactarith.iroot(yb, 6))
+        assert len(exactarith._mertens) == dmax + 1
+        assert list(exactarith._mertens) == [0, *accumulate(moebius_sieve(0)[1 : dmax + 1])]
 
     # every spec to 10^48 and cal at 10^54, where the recursion over the
     # twists takes 0.3-0.5 s over about 10^4 boxes
     TWIST_CUTOFFS = [
         *((spec, e) for spec in ("cal", "ncal", "alpha/37:5,beta/11:7") for e in (6, 10, 20, 30, 36, 42, 48)),
         ("cal", 54),
+        # skewed boxes, where an edge of the block walk is 0 or reaches 0
+        # early; the box (xb, yb) in the comments
+        (f"alpha/{10**20}:1,beta/1:1", 0),  # (0, 1)
+        (f"alpha/{10**20}:1,beta/1:1", 30),  # (2154, 10^15)
+        (f"alpha/1:1,beta/{10**30}:1", 30),  # (10^10, 1)
+        (f"alpha/{10**40}:1,beta/1:1", 30),  # (0, 10^15)
+        (f"alpha/1:1,beta/{10**40}:1", 30),  # (10^10, 0)
+        (f"alpha/3:1,beta/{10**50}:1", 62),
+        (f"alpha/{10**60}:1,beta/7:1", 61),  # (2, 1.2e30)
     ]
 
     @pytest.mark.parametrize("spec_text,exponent", TWIST_CUTOFFS)
