@@ -13,8 +13,8 @@ invariant j and r = 2, 3, 6 as j = 0, 1728, generic (see ``families``).
 Dropping the zeta factors gives the corresponding main terms for the
 families of all curves (not just representatives).  Every fixed-j and CM
 main term, and the coefficient table, reads one cached record per (j, spec),
-(r, c(j), 2 c(j) / zeta(12/r)) taken from the exact rational least height,
-and multiplies it by X^(1/r).
+(r, c(j), 2 c(j) / zeta(12/r)) taken from the exact rational least height;
+the main terms are one sum of those coefficients times X^(1/r) over a list of j.
 
 Everything returns mpmath floats computed at 50 digits; ``float()`` them
 freely.
@@ -103,38 +103,37 @@ def main_term_curves(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
         return _all_curves_term(spec, bound)
 
 
+def _fixed_j_sum(js, spec: HeightSpec, bound: int | Fraction, representatives: bool) -> mpmath.mpf:
+    """Sum over js of 2 c(j) X^(1/r), each over zeta(12/r) for representatives."""
+    records = [_coefficients(j, spec) for j in js]
+    with mpmath.workdps(_DPS):
+        x = _mpf(bound)
+        return mpmath.fsum((rep if representatives else 2 * c) * mpmath.root(x, r)
+                           for r, c, rep in records)
+
+
 def main_term_representatives_with_j(
     j: int | Fraction, spec: HeightSpec, bound: int | Fraction
 ) -> mpmath.mpf:
     """Leading term of the fixed-j representative count."""
-    r, _, rep = _coefficients(j, spec)
-    with mpmath.workdps(_DPS):
-        return rep * mpmath.root(_mpf(bound), r)
+    return _fixed_j_sum([j], spec, bound, True)
 
 
 def main_term_curves_with_j(
     j: int | Fraction, spec: HeightSpec, bound: int | Fraction
 ) -> mpmath.mpf:
     """Leading term of the fixed-j all-curves count."""
-    r, c, _ = _coefficients(j, spec)
-    with mpmath.workdps(_DPS):
-        return 2 * c * mpmath.root(_mpf(bound), r)
+    return _fixed_j_sum([j], spec, bound, False)
 
 
 def cm_asymptotic(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Three-term expansion of the CM representative count."""
-    records = [_coefficients(o.j, spec) for o in CM_ORDERS]
-    with mpmath.workdps(_DPS):
-        x = _mpf(bound)
-        return mpmath.fsum(rep * mpmath.root(x, r) for r, _, rep in records)
+    return _fixed_j_sum([o.j for o in CM_ORDERS], spec, bound, True)
 
 
 def cm_curves_asymptotic(spec: HeightSpec, bound: int | Fraction) -> mpmath.mpf:
     """Three-term expansion of the CM all-curves count (no zeta factors)."""
-    records = [_coefficients(o.j, spec) for o in CM_ORDERS]
-    with mpmath.workdps(_DPS):
-        x = _mpf(bound)
-        return mpmath.fsum(2 * c * mpmath.root(x, r) for r, c, _ in records)
+    return _fixed_j_sum([o.j for o in CM_ORDERS], spec, bound, False)
 
 
 def density_limit(family: str) -> float:

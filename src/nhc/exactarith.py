@@ -3,10 +3,10 @@
 Everything downstream (height boxes, cuspidal-cubic lattices, curve counts)
 reduces to a handful of exact primitives collected here:
 
-    power_part(n, k)          the largest m with m^k | n, from the primes
-                              up to the cofactor's (k+1)-th root (one gcd
-                              per run past 10^4), exact roots and rho past
-                              10^6
+    power_part(n, k)          the largest m with m^k | n for n != 0 and
+                              k >= 1, from the primes up to the cofactor's
+                              (k+1)-th root (one gcd per run past 10^4),
+                              exact roots and rho past 10^6
     factorize_rational(q)     sign and prime exponents of a nonzero integer
                               or rational: the k = 1 walk of power_part;
                               the last 256 primes split off past 10^6 are
@@ -284,7 +284,9 @@ def _power_factors(n: int, k: int) -> dict[int, int]:
 
 
 def power_part(n: int, k: int) -> int:
-    """The largest m >= 1 with m^k | n, for nonzero n and k >= 2."""
+    """The largest m >= 1 with m^k | n, for n != 0 and k >= 1; ValueError otherwise."""
+    if n == 0 or k < 1:
+        raise ValueError(f"power_part needs n != 0 and k >= 1, got n = {n}, k = {k}")
     return math.prod(p**e for p, e in _power_factors(n, k).items())
 
 

@@ -192,8 +192,10 @@ def count_representatives_with_j(
 _CUSP = WeierstrassCurve(-3, 2)
 
 
-def _elliptic_in_box(xb: int, yb: int, s: int) -> int:
-    return (2 * xb + 1) * (2 * yb + 1) - 2 * s - 1
+def _elliptic_in_box(xb: int, yb: int, s: int, d: int = 1) -> int:
+    """Elliptic points of the box (xb // d^4, yb // d^6), singular bound s // d^2."""
+    d2 = d * d
+    return (2 * (xb // (d2 * d2)) + 1) * (2 * (yb // (d2 * d2 * d2)) + 1) - 2 * (s // d2) - 1
 
 
 def count_singular(spec: HeightSpec, bound: int | Fraction) -> int:
@@ -222,13 +224,7 @@ def count_representatives(spec: HeightSpec, bound: int | Fraction) -> int:
     """
     b = box(spec, bound)
     xb, yb, s = *b, _max_parameter(_CUSP, 6, b)
-
-    def term(d: int) -> int:  # _elliptic_in_box(xb // d^4, yb // d^6, s // d^2), one call fewer
-        d2 = d * d
-        d4 = d2 * d2
-        return (2 * (xb // d4) + 1) * (2 * (yb // (d4 * d2)) + 1) - 2 * (s // d2) - 1
-
-    return moebius_sum(term, [(xb, 4), (yb, 6)])
+    return moebius_sum(functools.partial(_elliptic_in_box, xb, yb, s), [(xb, 4), (yb, 6)])
 
 
 def minimal_curves(

@@ -3,17 +3,18 @@
 ``brute_census`` counts the integer pairs (A, B) of the height box in one
 pass over the columns A, from the definitions only.  (A, B) is singular iff
 27B^2 = -4A^3: one integer square root finds a column's 0, 1 or 2 singular
-B.  It is a twist iff some prime p has p^4 | A and p^6 | B: the column's
-twisted B are the multiples of its moduli, the p^6 with p^4 | A, counted by
-inclusion-exclusion and never listed.  (A, B) has j = j_num / j_den iff
+B.  It is a twist iff some prime p has p^4 | A and p^6 | B: every column's
+twisted B, A = 0 included, are the multiples of its moduli, the p^6 with
+p^4 | A, counted by inclusion-exclusion and never listed.  (A, B) has
+j = j_num / j_den iff
 
     27 j_num B^2 = (6912 j_den - 4 j_num) A^3,
 
-the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied.  j = 0 holds
-on the elliptic points of A = 0; any other j holds at most at a column's
-B = +-sqrt(...), found by the same square root, confirmed against the
-definition, and a representative iff no modulus of the column divides B.
-None of the counting formulas being verified enter the scan.
+the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied, which for
+A != 0 excludes the singular points.  j = 0 holds on the elliptic points of
+A = 0; any other j holds at most at a column's B = +-sqrt(...), found by
+the same square root, and a representative iff no modulus of the column
+divides B.  None of the counting formulas being verified enter the scan.
 
 The scan is embarrassingly parallel over stripes of the A columns, and the
 merge is plain integer addition, so the result is identical for any stripe
@@ -95,16 +96,16 @@ def _scan_stripe(args: tuple[range, int, tuple[Fraction, ...]]) -> tuple[int, ..
     representatives of each tracked j) over the columns A x B in [-by, by]."""
     columns, by, js = args
     widest = max(abs(columns[0]), abs(columns[-1]))
-    quartics = [(p**4, p**6) for p in _primes_to(iroot(widest, 4))]
-    zero_mods = [p**6 for p in _primes_to(iroot(by, 6))]  # every p^4 divides A = 0
-    solve = [(k, 27 * j.numerator, 6912 * j.denominator - 4 * j.numerator, j.numerator,
-              6912 * j.denominator) for k, j in enumerate(js) if j]
+    # every p^4 divides A = 0, whose B meet the p^6 <= by; a p^4 > |A| divides no other A
+    quartics = [(p**4, p**6) for p in _primes_to(max(iroot(widest, 4), iroot(by, 6)))]
+    solve = [(k, 27 * j.numerator, 6912 * j.denominator - 4 * j.numerator)
+             for k, j in enumerate(js) if j]
     j0 = js.index(0) if 0 in js else None
     singular = elliptic = reps = 0
     tally = [0] * (2 * len(js))
     for a in columns:
         a3 = a**3
-        mods = [q6 for q4, q6 in quartics if a % q4 == 0] if a else zero_mods
+        mods = [q6 for q4, q6 in quartics if a % q4 == 0]
         sing = _roots(27, -4 * a3, by)  # 27 B^2 = -4 A^3
         col = 2 * by + 1 - len(sing)
         twists = 0
@@ -114,13 +115,11 @@ def _scan_stripe(args: tuple[range, int, tuple[Fraction, ...]]) -> tuple[int, ..
         elliptic += col
         reps += col - twists
         if a:
-            for k, c, m, j_num, j_den6912 in solve:
+            # a root has j_num (4A^3 + 27B^2) = 6912 j_den A^3 != 0: it is elliptic, of invariant j
+            for k, c, m in solve:
                 for bb in _roots(c, m * a3, by):
-                    s = 4 * a3 + 27 * bb * bb
-                    # confirm against j = 6912 A^3 / s, cross-multiplied
-                    if s and j_num * s == j_den6912 * a3:
-                        tally[2 * k] += 1
-                        tally[2 * k + 1] += all(bb % q for q in mods)
+                    tally[2 * k] += 1
+                    tally[2 * k + 1] += all(bb % q for q in mods)
         elif j0 is not None:  # j = 0 holds on the elliptic points of A = 0
             tally[2 * j0] += col
             tally[2 * j0 + 1] += col - twists

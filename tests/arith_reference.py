@@ -128,16 +128,18 @@ def singular_bound_direct(spec: HeightSpec, bound) -> int:
 
 def count_representatives_direct(spec, bound) -> int:
     """Moebius inversion over the twists, one box term per d up to
-    dmax = max(xb^(1/4), yb^(1/6))."""
+    dmax = max(xb^(1/4), yb^(1/6)): the box (x, y) = (xb // d^4, yb // d^6)
+    holds (2x + 1)(2y + 1) lattice points, of which the 2t + 1 points
+    (-3m^2, 2m^3) with |m| <= t = s // d^2 are singular."""
     xb, yb = box(spec, bound)
     s = singular_bound_direct(spec, bound)
     dmax = max(iroot(xb, 4), iroot(yb, 6))
     mu = moebius_sieve(dmax)
-    return sum(
-        mu[d] * families._elliptic_in_box(xb // d**4, yb // d**6, s // d**2)
-        for d in range(1, dmax + 1)
-        if mu[d]
-    )
+    total = 0
+    for d in range(1, dmax + 1):
+        x, y, t = xb // d**4, yb // d**6, s // d**2
+        total += mu[d] * ((2 * x + 1) * (2 * y + 1) - (2 * t + 1))
+    return total
 
 
 def max_parameter_direct(least, r: int, spec: HeightSpec, bound) -> int:
@@ -151,10 +153,12 @@ def max_parameter_direct(least, r: int, spec: HeightSpec, bound) -> int:
 
 
 def count_cm_representatives_direct(spec, bound) -> int:
-    """Twice the (12/r)-free parameters of each CM family, by count_kfree_direct."""
+    """Twice the (12/r)-free parameters of each CM family, by count_kfree_direct,
+    with r = 2, 3, 6 as j = 0, 1728, generic."""
     total = 0
     for order in CM_ORDERS:
-        least, r = families._least_curve(order.j)
+        (least, _), _ = families.minimal_curves(order.j, spec)
+        r = {0: 2, 1728: 3}.get(order.j, 6)
         total += 2 * count_kfree_direct(max_parameter_direct(least, r, spec, bound), 12 // r)
     return total
 

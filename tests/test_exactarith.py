@@ -283,7 +283,7 @@ class TestPowerPart:
         full = factors_from(n, primes)
         f = factorize_rational(n)
         assert f == (1 if n > 0 else -1, full) and list(f.factors) == list(full)
-        for k in (2, 3, 4):
+        for k in (1, 2, 3, 4):  # at k = 1 the power part is |n|
             expected = {p: e // k for p, e in full.items() if e >= k}
             found = exactarith._power_factors(n, k)
             assert found == expected and list(found) == list(expected)
@@ -292,6 +292,12 @@ class TestPowerPart:
             assert cubic_param(a) == cubic_param_by_factoring(a)
         for a, b in (n, 6 * n), (-(2**8) * n, 0), (0, n), (n**2, n**2), (n**2, 3 * n**3):
             assert families._twist_scale(a, b) == twist_scale_by_factoring(a, b)
+
+    @pytest.mark.parametrize("n, k", [(0, 4), (0, 1), (12, 0), (-12, -2)])
+    def test_rejects_zero_and_k_below_one(self, n, k):
+        # every m^k divides 0, and every n has m^0 = 1 | n for all m: no largest m
+        with pytest.raises(ValueError):
+            exactarith.power_part(n, k)
 
     CASES = cofactors_at_the_runs_end()
 

@@ -2,8 +2,9 @@
 process pool nor ``dataclasses`` and ``inspect`` (every record is a
 NamedTuple), a default ``verify`` loads the census but no pool, none of
 them builds the prime runs of ``exactarith``, the package resolves its
-public names on first use, and no module but the census reads a private
-name of ``exactarith``."""
+public names on first use, no module but the census reads a private name
+of ``exactarith``, and the test referees read no private name of
+``families``."""
 
 import ast
 import importlib
@@ -17,6 +18,8 @@ import pytest
 
 import nhc
 from nhc import asymptotics, cli, cm, cuspidal, families, oracle
+
+import arith_reference
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nhc.__file__)))
 HEAVY = ("mpmath", "concurrent.futures", "multiprocessing", "nhc.asymptotics", "nhc.oracle",
@@ -111,14 +114,14 @@ def test_unknown_attribute_raises(name):
         getattr(nhc, name)
 
 
-def private_exactarith_names(module) -> set[str]:
-    """The ``_``-prefixed names that a module imports from ``exactarith``
-    or reads off it."""
+def private_names(module, source: str = "exactarith") -> set[str]:
+    """The ``_``-prefixed names that a module imports from the module
+    ``source`` or reads off it."""
     names = set()
     for node in ast.walk(ast.parse(inspect.getsource(module))):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exactarith":
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == source:
             names.update(alias.name for alias in node.names if alias.name.startswith("_"))
-        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "exactarith":
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == source:
             names.update([node.attr] if node.attr.startswith("_") else [])
     return names
 
@@ -127,5 +130,10 @@ def test_formulas_factor_through_public_names():
     # the formulas factor through power_part alone; the census's moduli,
     # _primes_to, are the one private name read outside exactarith
     modules = (families, cuspidal, cm, asymptotics, cli, oracle)
-    found = {module.__name__: private_exactarith_names(module) for module in modules}
+    found = {module.__name__: private_names(module) for module in modules}
     assert found == {module.__name__: set() for module in modules} | {"nhc.oracle": {"_primes_to"}}
+
+
+def test_referees_read_no_private_name_of_families():
+    # a referee states each rule itself instead of calling the formula code it checks
+    assert private_names(arith_reference, "families") == set()
