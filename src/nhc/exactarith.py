@@ -8,12 +8,10 @@ reduces to a handful of exact primitives collected here:
                               (k+1)-th root (one gcd per run past 10^4),
                               exact roots and rho past 10^6
     factorize_rational(q)     sign and prime exponents of a nonzero integer
-                              or rational: the k = 1 walk of power_part;
-                              the last 256 primes split off past 10^6 are
-                              tried before the runs, then Brent's Pollard
-                              rho (past its budget raises ScanBudgetError);
-                              a prime below about 3.3e24 is proven, a larger
-                              one probable
+                              or rational: the k = 1 walk of power_part,
+                              whose Brent's Pollard rho raises
+                              ScanBudgetError past its budget; a prime below
+                              about 3.3e24 is proven, a larger one probable
     moebius_sieve(N)          Moebius function on 0..N, read from one shared
                               sieve of bytes (Eratosthenes) that grows on
                               demand (at most 10^7 entries; larger raises
@@ -43,7 +41,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections import deque
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, compress, islice
@@ -221,24 +218,15 @@ def _prime_runs(hi: int) -> tuple[tuple[int, int], ...]:
                  for lo in range(_TRIAL_BOUND + 1, hi + 1, _RUN_WIDTH))
 
 
-# The last primes that splitting a rest past the runs reported, oldest first
-# and at most _KNOWN_PRIMES_CAP; all exceed _RUN_BOUND.  A fixed j meets the
-# primes of a(j) again in gcd(A, B).  Those above _MR_DETERMINISTIC_BOUND
-# passed 40 seeded Miller-Rabin rounds only: they are probable primes, not
-# proven ones.
-_KNOWN_PRIMES_CAP = 256
-_known_primes: deque[int] = deque(maxlen=_KNOWN_PRIMES_CAP)
-
-
 def _power_factors(n: int, k: int) -> dict[int, int]:
     """{p: ord_p(n) // k} for the primes p with p^k | n != 0, increasing.
 
     Primes leave the cofactor c while one up to iroot(c, k + 1) is untried;
     then c has at most k prime factors, and one exact k-th root settles it
-    (at k = 1, c is 1 or prime and is its own root).  A c whose bound
-    passes the runs is first divided by the known primes.  A prime c skips
-    the runs, and a composite c with untried primes past them is split by
-    exact roots and Pollard rho.
+    (at k = 1, c is 1 or prime and is its own root).  A prime c skips the
+    runs, and a composite c with untried primes past them is split by exact
+    roots and Pollard rho.  The walk reads no state but the constant prime
+    tables, so its answer, or its refusal, depends on n and k alone.
     """
     c, out = abs(n), {}
     bound = iroot(c, k + 1)
@@ -258,9 +246,6 @@ def _power_factors(n: int, k: int) -> dict[int, int]:
             break
         if c % p == 0:
             divide_out(p)
-    if bound > _RUN_BOUND:
-        for p in [p for p in _known_primes if c % p == 0]:
-            divide_out(p)
     if bound > _TRIAL_BOUND and not is_prime(c):  # a prime skips the runs
         hi = _RUN_BOUND // 10 if bound <= _RUN_BOUND // 10 else _RUN_BOUND
         for lo, product in _prime_runs(hi):
@@ -276,8 +261,7 @@ def _power_factors(n: int, k: int) -> dict[int, int]:
                     bits = m.bit_length()  # rho cannot split a prime power, but its exact root can
                     e = next((e for e in _small_primes() if e > bits or iroot(m, e) ** e == m), bits + 1)
                     stack += [iroot(m, e)] if e <= bits else [d := _pollard_rho(m), m // d]
-                elif m not in _known_primes:  # a known prime is out of c already
-                    _known_primes.append(m)
+                else:  # a prime met twice is out of c already: dividing changes nothing
                     divide_out(m)
     r = iroot(c, k)
     return dict(sorted((out | {r: 1} if c > 1 and r**k == c else out).items()))
@@ -293,11 +277,10 @@ def power_part(n: int, k: int) -> int:
 def factorize_rational(q: int | Fraction) -> Factorization:
     """Prime factorization of a nonzero integer or rational: the k = 1 walk
     of _power_factors on each side, denominator primes with negative
-    exponents.  The known primes are tried before the runs up to 10^6, and
-    a composite rest past them meets exact roots and Pollard rho, which
-    raises ScanBudgetError past its budget.  A prime below about 3.3e24 is
-    proven (Miller-Rabin is deterministic there); a larger one passed 40
-    seeded rounds and is only probable."""
+    exponents.  A composite rest past the runs up to 10^6 meets exact roots
+    and Pollard rho, which raises ScanBudgetError past its budget.  A prime
+    below about 3.3e24 is proven (Miller-Rabin is deterministic there); a
+    larger one passed 40 seeded rounds and is only probable."""
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no prime factorization")
@@ -328,6 +311,8 @@ def moebius_sieve(limit: int) -> array:
     each prime p negates every p-th byte and zeroes every p^2-th.  Never
     modify it."""
     global _sieve
+    if limit < 0:
+        raise ValueError("moebius_sieve requires limit >= 0")
     if limit > _SIEVE_BUDGET:
         raise ScanBudgetError(
             f"Moebius sieve up to {limit} exceeds the budget of {_SIEVE_BUDGET} entries"

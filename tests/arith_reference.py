@@ -1,11 +1,12 @@
 """Definition-level arithmetic that only the tests need: the exponent of a
-prime in a rational, the k-free test by factoring, the lattice step of a
-cuspidal cubic and the twist scale of a curve by factoring, the
-term-by-term k-free and representative sums that the blocked ones in the
-package must equal, the same counts by recursion over the twists (no
-Moebius function), the singular bound of the height box, the fixed-j
-parameter bound from the height of the least curve, and the least curves
-of a j found by scanning the height box."""
+prime in a rational, the Moebius function by trial division, the k-free
+test by factoring, the lattice step of a cuspidal cubic and the twist
+scale of a curve by factoring, the term-by-term k-free and
+representative sums that the blocked ones in the package must equal, the
+same counts by recursion over the twists (no Moebius function), the
+singular bound of the height box, the fixed-j parameter bound from the
+height of the least curve, and the least curves of a j found by scanning
+the height box."""
 
 import math
 from collections.abc import Iterator
@@ -36,6 +37,26 @@ def ord_p(q: int | Fraction, p: int) -> int:
         den //= p
         e -= 1
     return e
+
+
+def mu_by_trial_division(n: int) -> int:
+    """moebius(n) for n >= 1, independent of the library's sieve of
+    Eratosthenes."""
+    if n == 1:
+        return 1
+    count = 0
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            count += 1
+        else:
+            d += 1 if d == 2 else 2  # 2, then the odd d
+    if n > 1:
+        count += 1
+    return -1 if count % 2 else 1
 
 
 def is_kfree(n: int, k: int) -> bool:

@@ -1,7 +1,6 @@
 """Shared fixtures."""
 
 from array import array
-from collections import deque
 
 import pytest
 
@@ -14,10 +13,3 @@ def fresh_sieve(monkeypatch):
     its own; the module's are put back afterwards."""
     monkeypatch.setattr(exactarith, "_sieve", array("b"))
     monkeypatch.setattr(exactarith, "_mertens", array("h", [0]))
-
-
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty memo of known primes, so the test fills its own; the
-    module's is put back afterwards."""
-    monkeypatch.setattr(exactarith, "_known_primes", deque(maxlen=exactarith._KNOWN_PRIMES_CAP))

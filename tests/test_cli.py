@@ -165,18 +165,11 @@ class TestCount:
             f"refused: factoring a 223-digit composite exceeds the budget of {budget} Pollard rho steps\n"
         )
 
-    def test_factoring_budget_refused_after_other_primes(self, capsys, fresh_memo):
+    def test_factoring_budget_refused_after_other_primes(self, capsys):
         # a fixed j whose a(j) = 4M/(27N) needs rho on M = 10000000019 *
-        # 20000000089, then a memo filled to its bound by the squares of
-        # primes past 10^6, whose exact roots report them
+        # 20000000089, then the refusals of the commands above, unchanged
         families._least_curve.cache_clear()
         assert run(capsys, "count", "--family", "j", "--j", "997/115740741475694446", "--bound", "1e30")[0] == 0
-        assert set(exactarith._known_primes) == {10000000019, 20000000089}
-        p = 10**6
-        for _ in range(exactarith._KNOWN_PRIMES_CAP):
-            p = next(q for q in range(p + 1, 2 * p) if exactarith.is_prime(q))
-            exactarith.factorize_rational(p * p)
-        assert len(exactarith._known_primes) == exactarith._KNOWN_PRIMES_CAP
         for argv in (
             ("twist", "--", str(HARD_SEMIPRIME), str(HARD_SEMIPRIME)),
             ("count", "--family", "j", "--j", f"{HARD_SEMIPRIME}/7", "--bound", "1e10"),
@@ -184,6 +177,25 @@ class TestCount:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (6, "")
             assert err.startswith("refused: factoring a 61-digit composite")
+
+    def test_refusal_independent_of_history(self, capsys):
+        # j = n/D with 1728D - n = M and n = -M mod 1728, for M = p * s1,
+        # q * s2 and p * q: rho splits the first two, and p * q is refused
+        # whether p and q were split before it or not
+        def nextprime(n):
+            return next(m for m in range(n, 2 * n) if exactarith.is_prime(m))
+
+        p, q = nextprime(10**13), nextprime(3 * 10**13)
+        js = []
+        for m in p * nextprime(10**6 + 3), q * nextprime(2 * 10**6), p * q:
+            n = -m % 1728
+            js.append(str(Fraction(n, (n + m) // 1728)))
+        assert js[2] == "233/173611111111817129629630"
+        families._least_curve.cache_clear()
+        for order in [js[2]], js, [js[2], *js[:2]]:
+            code, out, err = run(capsys, "verify", "--bound", "1e6", "--j", ",".join(order))
+            assert (code, out) == (6, "")
+            assert err == "refused: factoring a 27-digit composite exceeds the budget of 851968 Pollard rho steps\n"
 
 
 class TestParametrize:

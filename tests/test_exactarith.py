@@ -25,6 +25,7 @@ from nhc.exactarith import (
     iroot,
     is_prime,
     moebius_sieve,
+    moebius_sum,
 )
 
 from arith_reference import (
@@ -32,28 +33,10 @@ from arith_reference import (
     count_kfree_direct,
     cubic_param_by_factoring,
     is_kfree,
+    mu_by_trial_division,
     ord_p,
     twist_scale_by_factoring,
 )
-
-
-def mu_by_trial_division(n: int) -> int:
-    # independent of the library's sieve of Eratosthenes
-    if n == 1:
-        return 1
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            count += 1
-        else:
-            d += 1
-    if n > 1:
-        count += 1
-    return -1 if count % 2 else 1
 
 
 class TestFactorize:
@@ -89,7 +72,7 @@ class TestFactorize:
             assert factorize_rational(n).value() == n
 
     @pytest.mark.parametrize("p, e", [(10007, 3), (1000003, 7), (10**16 + 61, 2), (10**16 + 61, 6)])
-    def test_prime_powers_never_reach_rho(self, monkeypatch, fresh_memo, p, e):
+    def test_prime_powers_never_reach_rho(self, monkeypatch, p, e):
         def no_rho(m):
             raise AssertionError(f"rho ran on {m}")
 
@@ -131,17 +114,43 @@ class TestFactorize:
                 with pytest.raises(ScanBudgetError, match=f"82-digit composite exceeds the budget of {budget} "):
                     exactarith._pollard_rho(long)
 
-    def test_composite_power_split_once(self, monkeypatch, fresh_memo):
+    def test_composite_power_split_once(self, monkeypatch):
         # the exact root of (pq)^e is split once, and p and q are divided out
-        # e times from the whole; splitting each of e copies took e rho runs
+        # e times from the whole; splitting each of e copies took e rho runs.
+        # twist_decompose then walks gcd(A, B) and gcd(B, P^6), each from the
+        # start, and splits pq once in each
         p, q = 10000000019, 20000000089
         rho, calls = exactarith._pollard_rho, []
         monkeypatch.setattr(exactarith, "_pollard_rho", lambda m: calls.append(m) or rho(m))
         assert factorize_rational((p * q) ** 3).factors == {p: 3, q: 3}
         assert calls == [p * q]
-        exactarith._known_primes.clear()
         assert families.twist_decompose(((p * q) ** 4 * 5, (p * q) ** 6 * 7)) == (p * q, (5, 7))
-        assert calls == [p * q] * 2
+        assert calls == [p * q] * 3
+
+    @pytest.mark.parametrize("n, factors", [
+        (-(2**3) * 10007**2 * 42083 * 342863 * 999999937,
+         {2: 3, 10007: 2, 42083: 1, 342863: 1, 999999937: 1}),
+        (10007**3 * 9973, {9973: 1, 10007: 3}),
+        (2631905352272628650988, {2: 2, 3: 3, 7: 2, 11: 2, 19: 2, 127: 2, 163: 4}),
+        (999999937 * 999999929, {999999929: 1, 999999937: 1}),
+    ])
+    def test_factored_by_construction(self, n, factors):
+        f = factorize_rational(n)
+        assert f == (1 if n > 0 else -1, factors) and list(f.factors) == list(factors)
+
+    def test_refusal_independent_of_history(self):
+        # p * q is past rho's budget in any state; splitting p * s1 and
+        # q * s2 first, as a fixed j whose a(j) holds them would, changes
+        # nothing
+        p, q = next_prime(10**13), next_prime(3 * 10**13)
+        s1, s2 = next_prime(10**6 + 3), next_prime(2 * 10**6)
+        with pytest.raises(ScanBudgetError, match="27-digit composite") as fresh:
+            factorize_rational(p * q)
+        assert factorize_rational(p * s1).factors == {s1: 1, p: 1}
+        assert factorize_rational(q * s2).factors == {s2: 1, q: 1}
+        with pytest.raises(ScanBudgetError) as after:
+            factorize_rational(p * q)
+        assert str(after.value) == str(fresh.value)
 
     def test_rational(self):
         f = factorize_rational(Fraction(-4, 27))
@@ -177,50 +186,6 @@ class TestBrentRho:
         for n in (primes[0] * primes[1], primes[2] * primes[3] * primes[4]):
             d = exactarith._pollard_rho(n)
             assert 1 < d < n and n % d == 0
-
-
-@pytest.mark.usefixtures("fresh_memo")
-class TestKnownPrimes:
-    @pytest.mark.parametrize("n", [
-        -(2**3) * 10007**2 * 42083 * 342863 * 999999937,
-        10007**3 * 9973,
-        2631905352272628650988,
-        999999937 * 999999929,
-    ])
-    def test_same_answer_whatever_is_known(self, monkeypatch, n):
-        expected = factorize_rational(n)
-        unrelated = [next_prime(10**6 + 1000 * i) for i in range(exactarith._KNOWN_PRIMES_CAP)]
-        own = [p for p in expected.factors if p > exactarith._TRIAL_BOUND]
-
-        def no_rho(m):
-            raise AssertionError(f"rho ran on {m} with every prime of {n} known")
-
-        rho = exactarith._pollard_rho
-        for known, splitter in ([], rho), (unrelated, rho), (own, no_rho), (unrelated[len(own):] + own, no_rho):
-            monkeypatch.setattr(exactarith, "_pollard_rho", splitter)
-            exactarith._known_primes.clear()
-            exactarith._known_primes.extend(known)
-            f = factorize_rational(n)
-            assert f == expected and list(f.factors) == list(expected.factors)
-
-    def test_bounded_oldest_evicted_primes_only(self):
-        cap = exactarith._KNOWN_PRIMES_CAP
-        # the runs find 999983; a prime rest is not split, so not kept
-        factorize_rational(2 * 999983 * 1000003)
-        assert list(exactarith._known_primes) == []
-        reported = [next_prime(10**6)]
-        while len(reported) < cap + 40:
-            reported.append(next_prime(reported[-1] + 1))
-        for i, p in enumerate(reported):
-            assert factorize_rational(p**2).factors == {p: 2}  # past the runs, its root reports p
-            assert list(exactarith._known_primes) == reported[max(0, i + 1 - cap) : i + 1]
-        assert factorize_rational(reported[-1] * reported[-2]).factors == dict.fromkeys(reported[-2:], 1)
-        assert list(exactarith._known_primes) == reported[-cap:]  # known primes are not added again
-        q = next_prime(reported[-1] + 1)
-        assert factorize_rational(q * reported[0]).factors == {reported[0]: 1, q: 1}  # rho reports both
-        known = list(exactarith._known_primes)
-        assert known[:-2] == reported[2 - cap :] and set(known[-2:]) == {reported[0], q}
-        assert all(is_prime(r) for r in reported)
 
 
 def prev_prime(n: int) -> int:
@@ -311,7 +276,7 @@ class TestPowerPart:
         (4 * 10012351 * 30010241, [10**5]),  # its cube root is 66,950
         (4 * 1000012361 * 3000004999, [10**6]),  # past the runs: rho
     ])
-    def test_runs_built_as_far_as_needed(self, monkeypatch, fresh_memo, n, built):
+    def test_runs_built_as_far_as_needed(self, monkeypatch, n, built):
         calls = []
         runs = exactarith._prime_runs
         monkeypatch.setattr(exactarith, "_prime_runs", lambda hi: calls.append(hi) or runs(hi))
@@ -381,6 +346,10 @@ class TestMoebius:
             assert sieve[n] == mu_by_trial_division(n)
         for n in range(1, 500):
             assert mu_by_factorize(n) == sieve[n]
+
+    def test_rejects_negative_limit(self):
+        with pytest.raises(ValueError, match="limit >= 0"):
+            moebius_sieve(-3)
 
     def test_sieve_budget(self, fresh_sieve, monkeypatch):
         monkeypatch.setattr(exactarith, "_SIEVE_BUDGET", 100)
@@ -604,3 +573,55 @@ class TestCountKfree:
             flags[step::step] = bytearray(len(range(step, limit + 1, step)))
             p += 1
         assert count_kfree(limit, 2) == sum(flags[1:])
+
+
+def quotient_term(edges: list[tuple[int, int]]):
+    """A term of the quotients N // d^e that is 0 where they all are, and
+    the list of the d it was called at."""
+    calls = []
+
+    def term(d: int) -> int:
+        calls.append(d)
+        qs = [n // d**e for n, e in edges]
+        return sum(i * q for i, q in enumerate(qs, 2)) + math.prod(q + 1 for q in qs) - 1
+
+    return term, calls
+
+
+def moebius_sum_direct(term, edges: list[tuple[int, int]]) -> int:
+    """sum_d moebius(d) * term(d) term by term, over the d with a nonzero
+    quotient N // d^e."""
+    total, d = 0, 1
+    while any(n >= d**e for n, e in edges):
+        if mu := mu_by_trial_division(d):
+            total += mu * term(d)
+        d += 1
+    return total
+
+
+class TestMoebiusSum:
+    @pytest.mark.parametrize("edges", [
+        [(0, 3)],
+        [(0, 1), (1, 1)],
+        [(10**5, 2), (10**4, 1), (0, 3)],  # the square edge's quotient is 0 past d = 316
+        [(10**6, 7), (10**6, 3), (37, 2)],
+    ])
+    def test_named_edges(self, edges):
+        term = quotient_term(edges)[0]
+        assert moebius_sum(term, edges) == moebius_sum_direct(term, edges)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_edges(self, seed):
+        rng = random.Random(seed)
+        for _ in range(5):
+            edges = [(rng.choice((0, int(10 ** rng.uniform(0, 6)))), rng.randint(1, 7))
+                     for _ in range(rng.randint(1, 3))]
+            term = quotient_term(edges)[0]
+            assert moebius_sum(term, edges) == moebius_sum_direct(term, edges), edges
+
+    @pytest.mark.parametrize("edges", [[(10**8, 1)], [(10, 1), (10**16, 2)]])
+    def test_refused_before_any_term(self, edges):
+        term, calls = quotient_term(edges)
+        with pytest.raises(ScanBudgetError, match="Moebius sieve"):
+            moebius_sum(term, edges)
+        assert calls == []

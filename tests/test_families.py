@@ -606,13 +606,13 @@ class TestMinimalCurves:
         main_term_representatives_with_j(j, CALIBRATED, 10**30)
         assert len(calls) == 1
 
-    def test_rho_once_per_fixed_j_and_twist(self, monkeypatch, fresh_memo):
+    def test_rho_once_per_fixed_j_and_twist(self, monkeypatch):
         # a(j) = 4M / (27N) with N = n0 * core and M = 1728 D - N.  A balanced
         # 18-digit M lies below 10^18, so the primes up to its cube root and
         # one square root settle it without rho.  M = p1 * p2 of two 11-digit
         # primes lies above 10^18, so rho splits it once; gcd(A, B) of the
-        # twist, which holds p0 * p1 * p2 again, is divided by the primes
-        # already certified.
+        # twist holds p0 * p1 * p2 again, and its walk splits it from the
+        # start: p2 first, then p0 * p1.
         rho = exactarith._pollard_rho
         calls = []
 
@@ -622,32 +622,15 @@ class TestMinimalCurves:
 
         monkeypatch.setattr(exactarith, "_pollard_rho", counted)
         p0, p1, p2 = 30000000001, 10000000019, 20000000089
-        for m, core, splits in (999999937 * 999999929, 1, []), (p1 * p2, p0, [p1 * p2]):
+        for m, core, splits in (999999937 * 999999929, 1, []), (p1 * p2, p0, [p1 * p2, p0 * p1 * p2, p0 * p1]):
             n = (-m * pow(core, -1, 1728)) % 1728 * core
             j = Fraction(n, (n + m) // 1728)
             assert cubic_coefficient(j) == Fraction(4 * m, 27 * n)
             calls.clear()
-            exactarith._known_primes.clear()
             families._least_curve.cache_clear()
             (least, _), _ = minimal_curves(j, CALIBRATED)
             assert twist_decompose(twist(least, 6)) == (6, least)
             assert calls == splits
-
-    def test_known_primes_skip_the_runs(self, monkeypatch, fresh_memo):
-        # the j of test_rho_once_per_fixed_j_and_twist: once rho has split
-        # M = p1 * p2, a rest past trial division made of p1, p2 and at most
-        # one other prime is settled by the known primes, with no prime runs
-        p0, p1, p2 = 30000000001, 10000000019, 20000000089
-        n = (-p1 * p2 * pow(p0, -1, 1728)) % 1728 * p0
-        families._least_curve.cache_clear()
-        (least, _), _ = minimal_curves(Fraction(n, (n + p1 * p2) // 1728), CALIBRATED)
-        assert set(exactarith._known_primes) == {p1, p2}
-        calls, runs, rho = [], exactarith._prime_runs, exactarith._pollard_rho
-        monkeypatch.setattr(exactarith, "_prime_runs", lambda hi: calls.append(("runs", hi)) or runs(hi))
-        monkeypatch.setattr(exactarith, "_pollard_rho", lambda m: calls.append(("rho", m)) or rho(m))
-        assert exactarith.factorize_rational((p1 * p2) ** 3).factors == {p1: 3, p2: 3}
-        assert twist_decompose(twist(least, 6)) == (6, least)
-        assert calls == []
 
     def test_least_curve_cache_bounded(self):
         families._least_curve.cache_clear()

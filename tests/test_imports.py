@@ -3,8 +3,9 @@ process pool nor ``dataclasses`` and ``inspect`` (every record is a
 NamedTuple), a default ``verify`` loads the census but no pool, none of
 them builds the prime runs of ``exactarith``, the package resolves its
 public names on first use, no module but the census reads a private name
-of ``exactarith``, and the test referees read no private name of
-``families``."""
+of ``exactarith``, the test referees read no private name of
+``families``, and ``exactarith`` keeps no state across calls but its
+Moebius sieve."""
 
 import ast
 import importlib
@@ -17,7 +18,7 @@ import sys
 import pytest
 
 import nhc
-from nhc import asymptotics, cli, cm, cuspidal, families, oracle
+from nhc import asymptotics, cli, cm, cuspidal, exactarith, families, oracle
 
 import arith_reference
 
@@ -137,3 +138,17 @@ def test_formulas_factor_through_public_names():
 def test_referees_read_no_private_name_of_families():
     # a referee states each rule itself instead of calling the formula code it checks
     assert private_names(arith_reference, "families") == set()
+
+
+def test_exactarith_keeps_no_state_but_the_sieve():
+    # a memo kept across calls would make an answer or a refusal depend on
+    # what the process computed before; the shared Moebius sieve and its
+    # Mertens prefix are the only module-level containers, and only the
+    # sieve is rebound
+    tree = ast.parse(inspect.getsource(exactarith))
+    assigned = {target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets}
+    assigned |= {node.target.id for node in tree.body if isinstance(node, ast.AnnAssign)}
+    containers = {name for name in assigned if not isinstance(getattr(exactarith, name), (int, bytes, tuple))}
+    assert containers == {"_sieve", "_mertens"}
+    rebound = {name for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names}
+    assert rebound == {"_sieve"}
