@@ -111,6 +111,8 @@ def _parse_j_list(text: str) -> list[Fraction]:
     js = []
     for tok in filter(None, map(str.strip, text.split(","))):
         js += cm_js if tok.lower() == "cm" else [_parse_j(tok)]
+    if not js:
+        raise argparse.ArgumentTypeError(f"no j-invariant in {text!r}")
     return js
 
 

@@ -3,10 +3,10 @@
 Everything downstream (height boxes, cuspidal-cubic lattices, curve counts)
 reduces to a handful of exact primitives collected here:
 
-    power_part(n, k)          the largest m with m^k | n for n != 0 and
-                              k >= 1, from the primes up to the cofactor's
-                              (k+1)-th root (one gcd per run past 10^4),
-                              exact roots and rho past 10^6
+    power_part(n, k, ...)     the largest m with m^k | n and m^k' | n' for
+                              further pairs, from one walk on the gcd of the
+                              n: primes up to the cofactor's (k+1)-th root
+                              (a gcd per run past 10^4), roots and rho past 10^6
     factorize_rational(q)     sign and prime exponents of a nonzero integer
                               or rational: the k = 1 walk of power_part,
                               whose Brent's Pollard rho raises
@@ -267,11 +267,20 @@ def _power_factors(n: int, k: int) -> dict[int, int]:
     return dict(sorted((out | {r: 1} if c > 1 and r**k == c else out).items()))
 
 
-def power_part(n: int, k: int) -> int:
-    """The largest m >= 1 with m^k | n, for n != 0 and k >= 1; ValueError otherwise."""
-    if n == 0 or k < 1:
-        raise ValueError(f"power_part needs n != 0 and k >= 1, got n = {n}, k = {k}")
-    return math.prod(p**e for p, e in _power_factors(n, k).items())
+def power_part(n: int, k: int, *more: int) -> int:
+    """The largest m >= 1 with m^k | n and m^k' | n' for each further pair
+    n', k', where a zero n bounds nothing; ValueError unless some n != 0 and
+    every k >= 1.  One walk on the gcd of the n, at the least k of a nonzero
+    n, finds each prime of m and a bound on its exponent that modulo tests lower."""
+    ns, ks = (n, *more[::2]), (k, *more[1::2])
+    if len(ns) != len(ks) or not any(ns) or min(ks) < 1:
+        raise ValueError(f"power_part needs pairs (n, k), some n != 0 and each k >= 1, got {(n, k, *more)}")
+    m = 1
+    for p, e in _power_factors(math.gcd(*ns), min(k for n, k in zip(ns, ks) if n)).items():
+        while any(n % p ** (k * e) for n, k in zip(ns, ks)):
+            e -= 1
+        m *= p**e
+    return m
 
 
 def factorize_rational(q: int | Fraction) -> Factorization:

@@ -31,7 +31,6 @@ locus is the twist family (-3m^2, 2m^3) of the cusp (-3, 2), with r = 6.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -68,16 +67,6 @@ def j_invariant(curve: WeierstrassCurve | tuple[int, int]) -> Fraction:
     return Fraction(6912 * a**3, s)
 
 
-def _twist_scale(a: int, b: int) -> int:
-    """The largest d with d^4 | A and d^6 | B of a nonsingular curve.
-
-    Any such d divides P = power_part(gcd(A, B), 4), so d is the sixth
-    power part of gcd(B, P^6).  gcd(0, n) = |n|, and a zero coordinate is
-    divisible by every power, so it puts no bound on d.
-    """
-    return power_part(math.gcd(b, power_part(math.gcd(a, b), 4) ** 6), 6)
-
-
 def is_representative(curve: WeierstrassCurve | tuple[int, int]) -> bool:
     """True iff no prime p has p^4 | A and p^6 | B."""
     return twist_decompose(curve).d == 1
@@ -101,7 +90,7 @@ def twist_decompose(curve: WeierstrassCurve | tuple[int, int]) -> TwistDecomposi
     a, b = curve
     if discriminant(curve) == 0:
         raise SingularCurveError(f"curve ({a}, {b}) is singular")
-    d = _twist_scale(a, b)
+    d = power_part(a, 4, b, 6)  # the largest d with d^4 | A and d^6 | B
     return TwistDecomposition(d, WeierstrassCurve(a // d**4, b // d**6))
 
 

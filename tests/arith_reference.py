@@ -1,7 +1,7 @@
 """Definition-level arithmetic that only the tests need: the exponent of a
 prime in a rational, the Moebius function by trial division, the k-free
 test by factoring, the lattice step of a cuspidal cubic and the twist
-scale of a curve by factoring, the term-by-term k-free and
+scale of a curve over primes given with them, the term-by-term k-free and
 representative sums that the blocked ones in the package must equal, the
 same counts by recursion over the twists (no Moebius function), the
 singular bound of the height box, the fixed-j parameter bound from the
@@ -68,20 +68,30 @@ def is_kfree(n: int, k: int) -> bool:
     return all(e < k for e in factorize_rational(n).factors.values())
 
 
-def cubic_param_by_factoring(a: int | Fraction) -> Fraction:
-    """The lattice step of y^2 = a x^3 from every prime exponent e of a:
-    the product of p^ceil(e/2) for e > 0 and p^ceil(e/3) for e < 0."""
+def exponents_over(q: int | Fraction, primes) -> dict[int, int]:
+    """The nonzero ord_p(q) of the nonzero rational q over the given primes,
+    which must hold every prime of q: ValueError otherwise."""
+    out = {p: e for p in sorted(set(primes)) if (e := ord_p(q, p))}
+    if math.prod(Fraction(p) ** e for p, e in out.items()) != abs(Fraction(q)):
+        raise ValueError(f"{q} has a prime outside {sorted(set(primes))}")
+    return out
+
+
+def cubic_param_by_factoring(a: int | Fraction, primes) -> Fraction:
+    """The lattice step of y^2 = a x^3 from every prime exponent e of a,
+    read over the given primes: the product of p^ceil(e/2) for e > 0 and
+    p^ceil(e/3) for e < 0."""
     step = Fraction(1)
-    for p, e in factorize_rational(Fraction(a)).factors.items():
+    for p, e in exponents_over(a, primes).items():
         step *= Fraction(p) ** (-(-e // 2) if e >= 0 else -(-e // 3))
     return step
 
 
-def twist_scale_by_factoring(a: int, b: int) -> int:
+def twist_scale_by_factoring(a: int, b: int, primes) -> int:
     """The largest d with d^4 | A and d^6 | B, tried over every prime of
-    gcd(A, B)."""
+    gcd(A, B), read over the given primes."""
     d = 1
-    for p in factorize_rational(math.gcd(a, b)).factors:
+    for p in exponents_over(math.gcd(a, b), primes):
         q = p
         while a % q**4 == 0 and b % q**6 == 0:
             d *= p

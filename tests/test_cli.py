@@ -101,6 +101,14 @@ class TestCount:
         assert exc.value.code == 2
         assert "bad j-invariant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("j", [",", "", " , ,"])
+    def test_empty_j_list_exits_2(self, capsys, j):
+        # a --j that names no j-invariant is malformed, not a census of none
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--bound", "1e3", "--j", j])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"no j-invariant in {j!r}")
+
     @pytest.mark.parametrize("j", [" cm:-7", "cm:-7 ", " -3375"])
     def test_spaced_j(self, capsys, j):
         # the same count as the unspaced -3375, which cm:-7 names

@@ -26,6 +26,7 @@ from nhc.exactarith import (
     is_prime,
     moebius_sieve,
     moebius_sum,
+    power_part,
 )
 
 from arith_reference import (
@@ -117,15 +118,15 @@ class TestFactorize:
     def test_composite_power_split_once(self, monkeypatch):
         # the exact root of (pq)^e is split once, and p and q are divided out
         # e times from the whole; splitting each of e copies took e rho runs.
-        # twist_decompose then walks gcd(A, B) and gcd(B, P^6), each from the
-        # start, and splits pq once in each
+        # twist_decompose then walks gcd(A, B) once, from the start, and
+        # splits pq once more
         p, q = 10000000019, 20000000089
         rho, calls = exactarith._pollard_rho, []
         monkeypatch.setattr(exactarith, "_pollard_rho", lambda m: calls.append(m) or rho(m))
         assert factorize_rational((p * q) ** 3).factors == {p: 3, q: 3}
         assert calls == [p * q]
         assert families.twist_decompose(((p * q) ** 4 * 5, (p * q) ** 6 * 7)) == (p * q, (5, 7))
-        assert calls == [p * q] * 3
+        assert calls == [p * q] * 2
 
     @pytest.mark.parametrize("n, factors", [
         (-(2**3) * 10007**2 * 42083 * 342863 * 999999937,
@@ -240,8 +241,8 @@ def factors_from(n: int, primes: tuple[int, ...]) -> dict[int, int]:
 
 class TestPowerPart:
     """factorize_rational and the power parts against the primes each case is built
-    from, and cubic_param and _twist_scale against the referees that factor
-    fully."""
+    from, and cubic_param and the twist scale against the referees, which read
+    the exponents over those primes and never walk."""
 
     @staticmethod
     def check(n: int, primes: tuple[int, ...]) -> None:
@@ -252,17 +253,63 @@ class TestPowerPart:
             expected = {p: e // k for p, e in full.items() if e >= k}
             found = exactarith._power_factors(n, k)
             assert found == expected and list(found) == list(expected)
-            assert exactarith.power_part(n, k) == math.prod(p**e for p, e in expected.items())
+            assert power_part(n, k) == math.prod(p**e for p, e in expected.items())
+        known = (*full, 2, 3, 5, 7)  # with the primes of the multipliers below
         for a in Fraction(n, 7), Fraction(-7 * 5**4, n):
-            assert cubic_param(a) == cubic_param_by_factoring(a)
+            assert cubic_param(a) == cubic_param_by_factoring(a, known)
         for a, b in (n, 6 * n), (-(2**8) * n, 0), (0, n), (n**2, n**2), (n**2, 3 * n**3):
-            assert families._twist_scale(a, b) == twist_scale_by_factoring(a, b)
+            assert power_part(a, 4, b, 6) == twist_scale_by_factoring(a, b, known)
 
     @pytest.mark.parametrize("n, k", [(0, 4), (0, 1), (12, 0), (-12, -2)])
     def test_rejects_zero_and_k_below_one(self, n, k):
         # every m^k divides 0, and every n has m^0 = 1 | n for all m: no largest m
         with pytest.raises(ValueError):
-            exactarith.power_part(n, k)
+            power_part(n, k)
+
+    @pytest.mark.parametrize("args", [
+        (0, 4, 0, 6), (12, 4, 18), (12, 4, 18, 6, 5), (12, 4, 18, 0), (12, -1, 18, 6), (0, 0, 18, 6),
+    ])
+    def test_rejects_zeros_odd_pairs_and_k_below_one(self, args):
+        # further pairs too: all n zero, an n without its k, or a k < 1 (of a
+        # zero n as well)
+        with pytest.raises(ValueError):
+            power_part(*args)
+
+    @pytest.mark.parametrize("n", [
+        2**9 * 3**13 * 10007**5 * 999983**6, -(5**24) * 10000000019**6 * 7, 10000000019**4 * 1000003**7,
+    ], ids=["below-the-runs-end", "one-prime-past", "two-primes-past"])
+    def test_zero_bounds_nothing(self, n):
+        # every power divides 0: (A, 0) leaves the fourth power part of A,
+        # and (0, B) the sixth power part of B
+        assert power_part(n, 4, 0, 6) == power_part(n, 4) == power_part(0, 6, n, 4)
+        assert power_part(0, 4, n, 6) == power_part(n, 6)
+
+    def test_seeded_twists(self):
+        # d^4 A0 and d^6 B0, with d one or two primes in [10^6, 10^9]; A0 and
+        # B0 carry those primes too, up to p^3 and p^5 (gcd(A, B) stays
+        # below about 100 digits, well within rho's budget), and A0 = 0 once
+        # in ten curves
+        rng = random.Random(34)
+        pool = [next_prime(rng.randrange(10**6, 10**9)) for _ in range(6)]
+        for _ in range(30):
+            d = math.prod(rng.sample(pool, rng.randint(1, 2)))
+            a0, b0 = (rng.choice((1, -1)) * rng.randint(1, 10**4) * rng.choice(pool) ** rng.randint(0, e)
+                      for e in (3, 5))
+            if rng.random() < 0.1:
+                a0 = 0
+            a, b = d**4 * a0, d**6 * b0
+            scale = power_part(a, 4, b, 6)
+            assert scale == twist_scale_by_factoring(a, b, (*pool, *factors_from(math.gcd(a, b), tuple(pool))))
+            assert scale % d == 0
+
+    def test_rescued_twist(self):
+        # the one walk of gcd(A, B) = p^12 q^8 r^2 splits p, q and r within
+        # rho's budget; walking the 272-digit gcd(B, P^6) = p^18 q^11, with
+        # P = p^3 q^2, as well would exceed its budget of 42,849 steps
+        p, q, r = 61036883, 845413726897, 60638129
+        a, b = -130 * p**12 * q**8 * r**2, 531 * p**18 * q**11 * r**2
+        assert power_part(a, 4, b, 6) == p**3 * q
+        assert families.twist_decompose((a, b)) == (p**3 * q, (-130 * q**4 * r**2, 531 * q**5 * r**2))
 
     CASES = cofactors_at_the_runs_end()
 

@@ -4,8 +4,8 @@ NamedTuple), a default ``verify`` loads the census but no pool, none of
 them builds the prime runs of ``exactarith``, the package resolves its
 public names on first use, no module but the census reads a private name
 of ``exactarith``, the test referees read no private name of
-``families``, and ``exactarith`` keeps no state across calls but its
-Moebius sieve."""
+``families``, no power part is taken of another's result, and
+``exactarith`` keeps no state across calls but its Moebius sieve."""
 
 import ast
 import importlib
@@ -138,6 +138,26 @@ def test_formulas_factor_through_public_names():
 def test_referees_read_no_private_name_of_families():
     # a referee states each rule itself instead of calling the formula code it checks
     assert private_names(arith_reference, "families") == set()
+
+
+def is_power_part(node: ast.AST) -> bool:
+    """A call of ``power_part``, by name or as an attribute."""
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and "power_part" in (getattr(func, "id", None), getattr(func, "attr", None))
+
+
+def test_no_power_part_of_a_power_part():
+    # a power_part call among the arguments of another walks again over the
+    # primes the inner walk found: further (n, k) pairs share one walk
+    package = os.path.dirname(nhc.__file__)
+    nested = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            nested += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                       if is_power_part(node) and sum(map(is_power_part, ast.walk(node))) > 1]
+    assert nested == []
 
 
 def test_exactarith_keeps_no_state_but_the_sieve():
