@@ -173,13 +173,14 @@ def report(exact: int, approx: float | mpmath.mpf) -> AsymptoticReport:
 
 
 def format_percent(relative_error: float) -> str:
-    """Relative error as a percentage with two significant digits."""
+    """Relative error as a percentage with two significant digits, counted
+    after rounding (9.96% prints 10%), or in whole percent from 100% on."""
     if math.isnan(relative_error):
         return "undefined"
     p = 100.0 * relative_error
     if p == 0.0:
         return "0%"
-    decimals = max(0, 1 - math.floor(math.log10(abs(p))))
+    decimals = max(0, 1 - math.floor(math.log10(abs(float(f"{p:.1e}")))))
     return f"{p:.{decimals}f}%"
 
 

@@ -12,10 +12,10 @@ reduces to a handful of exact primitives collected here:
                               whose Brent's Pollard rho raises
                               ScanBudgetError past its budget; a prime below
                               about 3.3e24 is proven, a larger one probable
-    moebius_sieve(N)          Moebius function on 0..N, read from one shared
-                              sieve of bytes (Eratosthenes) that grows on
-                              demand (at most 10^7 entries; larger raises
-                              ScanBudgetError)
+    moebius_sieve(N)          Moebius function on 0..N, a read-only view of
+                              one shared sieve of bytes (Eratosthenes) that
+                              grows on demand (at most 10^7 entries; larger
+                              raises ScanBudgetError)
     iroot(n, k)               floor(n^(1/k)) for integers, exact
     floor_rational_root(q, k) floor(q^(1/k)) for rationals, exact
     moebius_sum(term, edges)  sum_d moebius(d) * term(d) for a term of the
@@ -306,7 +306,7 @@ def factorize_rational(q: int | Fraction) -> Factorization:
 # and a Mertens prefix of 8,908,988 entries (first call 2.0-2.6 s, repeats
 # 0.7-1.2 s), count_cm_representatives(cal, 1e72) at 19 MB (890,899).
 _SIEVE_BUDGET = 10**7
-_sieve = array("b")
+_sieve = memoryview(b"").cast("b")  # a read-only signed view of immutable bytes
 # Mertens prefix of _sieve, _mertens[n] = moebius(1) + ... + moebius(n), grown
 # by moebius_sum as far as it reads and kept across sieve rebuilds.  Below
 # _SIEVE_BUDGET |Mert(n)| <= 1,143: 16 bits hold it (array raises, never wraps).
@@ -314,11 +314,11 @@ _mertens = array("h", [0])
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # +1 <-> -1 as signed bytes
 
 
-def moebius_sieve(limit: int) -> array:
+def moebius_sieve(limit: int) -> memoryview:
     """moebius(n) at index n <= limit (index 0 is padding), from one shared
     sieve of signed bytes rebuilt only when asked past its end: from all 1s,
-    each prime p negates every p-th byte and zeroes every p^2-th.  Never
-    modify it."""
+    each prime p negates every p-th byte and zeroes every p^2-th.  The view
+    is read-only, so no caller can change a later count."""
     global _sieve
     if limit < 0:
         raise ValueError("moebius_sieve requires limit >= 0")
@@ -327,7 +327,7 @@ def moebius_sieve(limit: int) -> array:
             f"Moebius sieve up to {limit} exceeds the budget of {_SIEVE_BUDGET} entries"
         )
     if limit >= len(_sieve):
-        _sieve = array("b")  # the old sieve is freed before the new one is built
+        _sieve = memoryview(b"").cast("b")  # the old sieve is freed before the new one is built
         mu = bytearray([1]) * (limit + 1)
         flags = _prime_flags(limit)
         for p in compress(range(limit + 1), flags):
@@ -335,7 +335,7 @@ def moebius_sieve(limit: int) -> array:
         for p in compress(range(math.isqrt(limit) + 1), flags):
             mu[p * p :: p * p] = bytes(limit // (p * p))
         del flags  # before the copy: 43 MB of resident memory at 10^7, not 50
-        _sieve = array("b", mu)
+        _sieve = memoryview(bytes(mu)).cast("b")
     return _sieve
 
 

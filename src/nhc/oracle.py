@@ -1,20 +1,22 @@
 """Brute-force lattice census: the ground truth for every exact formula.
 
 ``brute_census`` counts the integer pairs (A, B) of the height box in one
-pass over the columns A, from the definitions only.  (A, B) is singular iff
-27B^2 = -4A^3: one integer square root finds a column's 0, 1 or 2 singular
-B.  It is a twist iff some prime p has p^4 | A and p^6 | B: every column's
-twisted B, A = 0 included, are the multiples of its moduli, the p^6 with
-p^4 | A, counted by inclusion-exclusion and never listed.  (A, B) has
-j = j_num / j_den iff
+pass over the columns A, from the definitions only.  (A, B) is a twist iff
+some prime p has p^4 | A and p^6 | B: every column's twisted B, A = 0
+included, are the multiples of its moduli, the p^6 with p^4 | A, counted by
+inclusion-exclusion and never listed.  (A, B) has j = j_num / j_den iff
 
     27 j_num B^2 = (6912 j_den - 4 j_num) A^3,
 
-the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied, which for
-A != 0 excludes the singular points.  j = 0 holds on the elliptic points of
-A = 0; any other j holds at most at a column's B = +-sqrt(...), found by
-the same square root, and a representative iff no modulus of the column
-divides B.  None of the counting formulas being verified enter the scan.
+the definition j = 6912 A^3 / (4A^3 + 27B^2) cross-multiplied.  At j = 1/0
+it is 27B^2 = -4A^3, the singular locus, so the census solves a list of
+curves, the singular locus first and then each tracked j: one integer
+square root finds a column's 0, 1 or 2 B on each, untwisted iff no modulus
+divides B.  A root with A != 0 has the curve's own invariant; at A = 0 only
+the singular locus solves, at the origin, and j = 0 holds on the column's
+other points.  So elliptic = points - singular, and representatives =
+elliptic - (twisted - twisted singular).  None of the counting formulas
+being verified enter the scan.
 
 The scan is embarrassingly parallel over stripes of the A columns, and the
 merge is plain integer addition, so the result is identical for any stripe
@@ -92,38 +94,32 @@ def _multiples(mods: list[int], n: int, i: int = 0) -> int:
 
 
 def _scan_stripe(args: tuple[range, int, tuple[Fraction, ...]]) -> tuple[int, ...]:
-    """(singular, elliptic, representatives, then the curves and the
-    representatives of each tracked j) over the columns A x B in [-by, by]."""
+    """(twisted, then the points and the untwisted points of each curve
+    c B^2 = m A^3: the singular locus, then each tracked j) over the
+    columns A x B in [-by, by]."""
     columns, by, js = args
     widest = max(abs(columns[0]), abs(columns[-1]))
     # every p^4 divides A = 0, whose B meet the p^6 <= by; a p^4 > |A| divides no other A
     quartics = [(p**4, p**6) for p in _primes_to(max(iroot(widest, 4), iroot(by, 6)))]
-    solve = [(k, 27 * j.numerator, 6912 * j.denominator - 4 * j.numerator)
-             for k, j in enumerate(js) if j]
-    j0 = js.index(0) if 0 in js else None
-    singular = elliptic = reps = 0
-    tally = [0] * (2 * len(js))
+    curves = [(1, 0), *((j.numerator, j.denominator) for j in js)]  # j = 1/0: 27 B^2 = -4 A^3
+    solve = [(k, 27 * n, 6912 * d - 4 * n) for k, (n, d) in enumerate(curves) if n]
+    j0 = 1 + js.index(0) if 0 in js else None
+    twisted = 0
+    tally = [0] * (2 * len(curves))
     for a in columns:
         a3 = a**3
         mods = [q6 for q4, q6 in quartics if a % q4 == 0]
-        sing = _roots(27, -4 * a3, by)  # 27 B^2 = -4 A^3
-        col = 2 * by + 1 - len(sing)
-        twists = 0
-        if mods:  # B = 0, the multiples of each sign, less the singular twists
-            twists = 1 + 2 * _multiples(mods, by) - sum(not all(s % q for q in mods) for s in sing)
-        singular += len(sing)
-        elliptic += col
-        reps += col - twists
-        if a:
-            # a root has j_num (4A^3 + 27B^2) = 6912 j_den A^3 != 0: it is elliptic, of invariant j
-            for k, c, m in solve:
-                for bb in _roots(c, m * a3, by):
-                    tally[2 * k] += 1
-                    tally[2 * k + 1] += all(bb % q for q in mods)
-        elif j0 is not None:  # j = 0 holds on the elliptic points of A = 0
-            tally[2 * j0] += col
-            tally[2 * j0 + 1] += col - twists
-    return (singular, elliptic, reps, *tally)
+        high = _multiples(mods, by)  # the twisted B > 0, as many as the twisted B < 0
+        twisted += bool(mods) + 2 * high  # B = 0 twists iff some p^4 | A
+        # at A = 0 only the singular locus solves: its one root, the origin, is singular
+        for k, c, m in solve if a else solve[:1]:
+            for bb in _roots(c, m * a3, by):
+                tally[2 * k] += 1
+                tally[2 * k + 1] += all(bb % q for q in mods)
+        if not a and j0 is not None:  # j = 0 holds on the elliptic points of A = 0
+            tally[2 * j0] += 2 * by
+            tally[2 * j0 + 1] += 2 * (by - high)
+    return (twisted, *tally)
 
 
 def brute_census(
@@ -161,12 +157,13 @@ def brute_census(
             parts = list(pool.map(_scan_stripe, jobs))
     else:
         parts = [_scan_stripe(job) for job in jobs]
-    singular, elliptic, reps, *tally = map(sum, zip(*parts))
+    twisted, singular, untwisted_singular, *tally = map(sum, zip(*parts))
+    elliptic = width * (2 * b.y_bound + 1) - singular
 
     return CensusResult(
         box=b,
         total_elliptic=elliptic,
-        total_representatives=reps,
+        total_representatives=elliptic - (twisted - (singular - untwisted_singular)),
         singular_points=singular,
         per_j={j: (tally[2 * k], tally[2 * k + 1]) for k, j in enumerate(js)},
     )

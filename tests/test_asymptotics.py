@@ -229,6 +229,11 @@ class TestReport:
         assert format_percent(0.0086) == "0.86%"
         assert format_percent(0.0039649) == "0.40%"
 
+    @pytest.mark.parametrize("error, text", [(0.0996, "10%"), (0.000996, "0.10%"), (0.00995, "1.0%")])
+    def test_percent_rounded_up_to_a_power_of_ten(self, error, text):
+        # the rounding carries into a new leading digit: still two digits
+        assert format_percent(error) == text
+
 
 class TestZeta:
     def test_reference_digits(self):

@@ -394,6 +394,15 @@ class TestMoebius:
         for n in range(1, 500):
             assert mu_by_factorize(n) == sieve[n]
 
+    def test_read_only(self, fresh_sieve):
+        # every count reads the one shared sieve: a caller's write would
+        # change them all for the rest of the process
+        counts = (607926, 4844620043512178762230798)
+        with pytest.raises(TypeError):
+            moebius_sieve(10**4)[4] = 1
+        assert moebius_sieve(10**4)[4] == 0
+        assert (count_kfree(10**6, 2), families.count_representatives(nhc.CALIBRATED, 10**30)) == counts
+
     def test_rejects_negative_limit(self):
         with pytest.raises(ValueError, match="limit >= 0"):
             moebius_sieve(-3)

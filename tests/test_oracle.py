@@ -208,8 +208,8 @@ class TestTwistCount:
 
     @staticmethod
     def counted(a: int, by: int) -> int:
-        _singular, elliptic, reps = oracle._scan_stripe((range(a, a + 1), by, ()))
-        return elliptic - reps
+        twisted, singular, untwisted_singular = oracle._scan_stripe((range(a, a + 1), by, ()))
+        return twisted - (singular - untwisted_singular)
 
     @pytest.mark.parametrize(
         "a, by",
@@ -247,7 +247,13 @@ class TestTwistCount:
     def test_quartic_of_a_prime_past_ten_thousand(self, a):
         # 10007 is the least prime past 10^4: its twists are B = 0 and +-10007^6
         p6 = 10007**6
-        assert oracle._scan_stripe((range(a, a + 1), p6, ())) == (0, 2 * p6 + 1, 2 * p6 - 2)
+        assert oracle._scan_stripe((range(a, a + 1), p6, ())) == (3, 0, 0)
+
+    @pytest.mark.parametrize("a", [1, -2, 5, -5, 3375])
+    def test_generic_column_adds_nothing(self, a):
+        # no p^4 divides A and A is no -3m^2: the column has no twist and no
+        # singular point, so all its 2 by + 1 points are representatives
+        assert oracle._scan_stripe((range(a, a + 1), 10**6, ())) == (0, 0, 0)
 
     def test_zero_column_past_ten_thousand(self):
         # raising by to 10007^6 adds B = +-10007^6, both multiples of that sixth power
