@@ -57,6 +57,7 @@ _SUBMODULE_NAMES = {
         "moebius_sieve",
     ),
     "families": (
+        "FixedJFamily",
         "SingularCurveError",
         "SpecialJError",
         "TwistDecomposition",
@@ -69,6 +70,7 @@ _SUBMODULE_NAMES = {
         "cubic_coefficient",
         "curve_from_parameter",
         "discriminant",
+        "fixed_j_family",
         "is_representative",
         "j_invariant",
         "minimal_curves",

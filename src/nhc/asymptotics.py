@@ -30,7 +30,7 @@ from typing import NamedTuple
 import mpmath
 
 from .cm import CM_ORDERS, count_cm_representatives
-from .families import SpecialJError, _least_curve
+from .families import SpecialJError, fixed_j_family
 from .heights import HeightSpec, height
 
 _DPS = 50
@@ -59,7 +59,7 @@ def _coefficients(j: int | Fraction, spec: HeightSpec) -> tuple[int, mpmath.mpf,
     the fixed-j curves and representatives are about 2 c(j) X^(1/r) and
     2 c(j) / zeta(12/r) X^(1/r).  Cached for the last 256 (j, spec), so each
     least height is taken once."""
-    least, r = _least_curve(j)
+    least, r = fixed_j_family(j)
     with mpmath.workdps(_DPS):
         c = mpmath.root(_mpf(1 / height(spec, least)), r)
         return r, c, 2 * c / zeta_value(12 // r)

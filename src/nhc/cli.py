@@ -46,7 +46,7 @@ from fractions import Fraction
 from . import cm, families
 from .exactarith import ScanBudgetError, moebius_sieve
 from .families import SingularCurveError, SpecialJError, WeierstrassCurve
-from .heights import HeightSpec, height, parse_height_spec
+from .heights import HeightSpec, box, height, parse_height_spec
 
 
 class _Refusal(Exception):
@@ -236,27 +236,25 @@ _ROW_BUDGET = 10**6
 
 def cmd_parametrize(args) -> None:
     spec, x, j = args.height, args.bound, args.j
-    least, r = families._least_curve(j)
-    if args.squarefree_only and r != 6:
+    family, b = families.fixed_j_family(j), box(spec, x)
+    if args.squarefree_only and family.r != 6:
         raise SpecialJError("the square-free parameter rule belongs to the generic fixed-j "
                             "family; j = 0 and j = 1728 representatives are 6-free/4-free instead")
-    count = (families.count_representatives_with_j if args.squarefree_only
-             else families.count_curves_with_j)
-    listed = count(j, spec, x)
+    listed = (family.representatives_in if args.squarefree_only else family.curves_in)(b)
     if listed > _ROW_BUDGET:
         raise ScanBudgetError(f"listing {listed} curves exceeds the budget of {_ROW_BUDGET} rows")
-    bound = families.param_bound(j, spec, x)
+    bound = family.max_parameter(b)
     mu = moebius_sieve(bound) if args.squarefree_only else None
-    least_height = height(spec, least)
+    least_height = height(spec, family.least)
     if least_height.denominator == 1:  # integer rows multiply faster than Fraction ones
         least_height = least_height.numerator
 
     def rows():
         for m in range(-bound, bound + 1):
             if m and (mu is None or mu[abs(m)]):
-                curve = families._family_member(least, r, m)
+                curve = family.member(m)
                 # curve m has height |m|^r H(A_j, B_j)
-                yield m, curve.A, curve.B, abs(m) ** r * least_height
+                yield m, curve.A, curve.B, abs(m) ** family.r * least_height
 
     _emit(args, ["m", "A", "B", "height"], rows)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .families import WeierstrassCurve, _curves_in, _representatives_in, minimal_curves
+from .families import WeierstrassCurve, fixed_j_family, minimal_curves
 from .heights import HeightSpec, box
 
 
@@ -53,14 +53,14 @@ def cm_order(disc: int, conductor: int = 1) -> CmOrder:
 def count_cm_curves(spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of elliptic (A, B) with CM and height <= bound."""
     b = box(spec, bound)
-    return sum(_curves_in(o.j, b) for o in CM_ORDERS)
+    return sum(fixed_j_family(o.j).curves_in(b) for o in CM_ORDERS)
 
 
 def count_cm_representatives(spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of CM Q-isomorphism class representatives with height
     <= bound."""
     b = box(spec, bound)
-    return sum(_representatives_in(o.j, b) for o in CM_ORDERS)
+    return sum(fixed_j_family(o.j).representatives_in(b) for o in CM_ORDERS)
 
 
 class MinimalCurveRow(NamedTuple):
@@ -106,7 +106,7 @@ def cm_count_table(
     bounds_f = tuple(Fraction(b) for b in bounds)
     boxes = [box(spec, b) for b in bounds_f]
     rows = tuple(
-        CmCountRow(o.disc, o.conductor, o.j, tuple(_curves_in(o.j, b) for b in boxes))
+        CmCountRow(o.disc, o.conductor, o.j, tuple(map(fixed_j_family(o.j).curves_in, boxes)))
         for o in CM_ORDERS
     )
     totals = tuple(sum(row.counts[i] for row in rows) for i in range(len(bounds_f)))

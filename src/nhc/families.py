@@ -14,7 +14,8 @@ that decomposition turns the elementary box count into an exact count of
 representatives.
 
 Fixed j-invariant: every curve with invariant j is a twist of one least
-curve (A_j, B_j), and the whole family is
+curve (A_j, B_j), and the whole family, the ``FixedJFamily`` record
+``fixed_j_family(j)`` of (A_j, B_j) and r, is
 
     (m^(r/3) A_j, m^(r/2) B_j),   m in Z \\ {0},   height |m|^r H(A_j, B_j),
 
@@ -112,61 +113,65 @@ def _exact_int(q: Fraction) -> int:
     return int(q)
 
 
+class FixedJFamily(NamedTuple):
+    """The curves with one j-invariant: curve m is (m^(r/3) A_j, m^(r/2) B_j)
+    for the least curve (A_j, B_j), of height |m|^r H(A_j, B_j)."""
+
+    least: WeierstrassCurve
+    r: int
+
+    def member(self, m: int) -> WeierstrassCurve:
+        """Curve m: (m^2 A_j, m^3 B_j) for generic j, (0, m) for j = 0 and
+        (m, 0) for j = 1728."""
+        if m == 0:
+            raise ValueError("parameter m must be nonzero")
+        least, r = self
+        return WeierstrassCurve(m ** (r // 3) * least.A, m ** (r // 2) * least.B)
+
+    def max_parameter(self, b: HeightBox) -> int:
+        """The largest m >= 0 whose curve lies in b: the least iroot(edge // |c|, e)
+        over the least curve's nonzero coordinates c, exponents e and box edges."""
+        least, r = self
+        return min(iroot(edge // abs(c), e) for c, e, edge in
+                   ((least.A, r // 3, b.x_bound), (least.B, r // 2, b.y_bound)) if c)
+
+    def curves_in(self, b: HeightBox) -> int:
+        """The number of curves m != 0 of the family in the box b."""
+        return 2 * self.max_parameter(b)
+
+    def representatives_in(self, b: HeightBox) -> int:
+        """The number of representatives of the family in the box b: the
+        (12/r)-free m, 6-free, 4-free, square-free as j = 0, 1728, generic."""
+        return 2 * count_kfree(self.max_parameter(b), 12 // self.r)
+
+
 @functools.lru_cache(maxsize=256)
-def _least_curve(j: int | Fraction) -> tuple[WeierstrassCurve, int]:
-    """((A_j, B_j), r): the least curve with invariant j and the exponent r
-    with curve m = (m^(r//3) A_j, m^(r//2) B_j) of height |m|^r H(A_j, B_j).
-    Cached for the last 256 j, so a(j) is factored once per j."""
+def fixed_j_family(j: int | Fraction) -> FixedJFamily:
+    """The family with invariant j, cached for the last 256 j: a(j) is factored once."""
     j = Fraction(j)
     if j == 0:
-        return WeierstrassCurve(0, 1), 2
+        return FixedJFamily(WeierstrassCurve(0, 1), 2)
     if j == 1728:
-        return WeierstrassCurve(1, 0), 3
+        return FixedJFamily(WeierstrassCurve(1, 0), 3)
     a = cubic_coefficient(j)
     step = cubic_param(a)
-    return WeierstrassCurve(_exact_int(step**2 / a), _exact_int(step**3 / a)), 6
-
-
-def _family_member(least: WeierstrassCurve, r: int, m: int) -> WeierstrassCurve:
-    return WeierstrassCurve(m ** (r // 3) * least.A, m ** (r // 2) * least.B)
-
-
-def _max_parameter(least: WeierstrassCurve, r: int, b: HeightBox) -> int:
-    """The largest m >= 0 whose curve lies in b: the least iroot(edge // |c|, e)
-    over the least curve's nonzero coordinates c, exponents e and box edges."""
-    return min(iroot(edge // abs(c), e) for c, e, edge in
-               ((least.A, r // 3, b.x_bound), (least.B, r // 2, b.y_bound)) if c)
+    return FixedJFamily(WeierstrassCurve(_exact_int(step**2 / a), _exact_int(step**3 / a)), 6)
 
 
 def curve_from_parameter(j: int | Fraction, m: int) -> WeierstrassCurve:
-    """The m-th curve of the fixed-j family: (m^2 A_j, m^3 B_j) for generic
-    j, (0, m) for j = 0 and (m, 0) for j = 1728."""
-    if m == 0:
-        raise ValueError("parameter m must be nonzero")
-    return _family_member(*_least_curve(j), m)
+    """The m-th curve of the fixed-j family (``FixedJFamily.member``)."""
+    return fixed_j_family(j).member(m)
 
 
 def param_bound(j: int | Fraction, spec: HeightSpec, bound: int | Fraction) -> int:
     """Largest |m| whose curve lies in the height box of bound (0 if none):
     equivalently, whose height is at most bound."""
-    return _max_parameter(*_least_curve(j), box(spec, bound))
-
-
-def _curves_in(j: int | Fraction, b: HeightBox) -> int:
-    """The number of curves with invariant j in the box b."""
-    return 2 * _max_parameter(*_least_curve(j), b)
-
-
-def _representatives_in(j: int | Fraction, b: HeightBox) -> int:
-    """The number of representatives with invariant j in the box b: the
-    (12/r)-free m, 6-free, 4-free, square-free as j = 0, 1728, generic."""
-    least, r = _least_curve(j)
-    return 2 * count_kfree(_max_parameter(least, r, b), 12 // r)
+    return fixed_j_family(j).max_parameter(box(spec, bound))
 
 
 def count_curves_with_j(j: int | Fraction, spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of elliptic (A, B) with j-invariant j, height <= bound."""
-    return _curves_in(j, box(spec, bound))
+    return fixed_j_family(j).curves_in(box(spec, bound))
 
 
 def count_representatives_with_j(
@@ -174,11 +179,11 @@ def count_representatives_with_j(
 ) -> int:
     """Exact number of Q-isomorphism class representatives with invariant j
     and height <= bound."""
-    return _representatives_in(j, box(spec, bound))
+    return fixed_j_family(j).representatives_in(box(spec, bound))
 
 
 # the singular locus 4A^3 + 27B^2 = 0 is the cusp's family (-3m^2, 2m^3), r = 6
-_CUSP = WeierstrassCurve(-3, 2)
+_CUSP = FixedJFamily(WeierstrassCurve(-3, 2), 6)
 
 
 def _elliptic_in_box(xb: int, yb: int, s: int, d: int = 1) -> int:
@@ -190,14 +195,14 @@ def _elliptic_in_box(xb: int, yb: int, s: int, d: int = 1) -> int:
 def count_singular(spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of singular (A, B) with height <= bound, the origin
     included: the 2s + 1 points (-3m^2, 2m^3) with |m| <= s."""
-    return 2 * _max_parameter(_CUSP, 6, box(spec, bound)) + 1
+    return _CUSP.curves_in(box(spec, bound)) + 1
 
 
 def count_curves(spec: HeightSpec, bound: int | Fraction) -> int:
     """Exact number of elliptic (A, B) with height <= bound: the lattice
     points of the height box minus the 2s + 1 singular ones."""
     b = box(spec, bound)
-    return _elliptic_in_box(*b, _max_parameter(_CUSP, 6, b))
+    return _elliptic_in_box(*b, _CUSP.max_parameter(b))
 
 
 def count_representatives(spec: HeightSpec, bound: int | Fraction) -> int:
@@ -212,7 +217,7 @@ def count_representatives(spec: HeightSpec, bound: int | Fraction) -> int:
     moebius_sum over the edges (xb, 4) and (yb, 6).
     """
     b = box(spec, bound)
-    xb, yb, s = *b, _max_parameter(_CUSP, 6, b)
+    xb, yb, s = *b, _CUSP.max_parameter(b)
     return moebius_sum(functools.partial(_elliptic_in_box, xb, yb, s), [(xb, 4), (yb, 6)])
 
 
@@ -224,5 +229,5 @@ def minimal_curves(
     These are the parameter values m = +1 and m = -1 (in that order); the
     pair differs only in the sign of B (of A when j = 1728).
     """
-    least, r = _least_curve(j)
-    return (least, _family_member(least, r, -1)), height(spec, least)
+    family = fixed_j_family(j)
+    return (family.least, family.member(-1)), height(spec, family.least)

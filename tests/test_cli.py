@@ -176,7 +176,7 @@ class TestCount:
     def test_factoring_budget_refused_after_other_primes(self, capsys):
         # a fixed j whose a(j) = 4M/(27N) needs rho on M = 10000000019 *
         # 20000000089, then the refusals of the commands above, unchanged
-        families._least_curve.cache_clear()
+        families.fixed_j_family.cache_clear()
         assert run(capsys, "count", "--family", "j", "--j", "997/115740741475694446", "--bound", "1e30")[0] == 0
         for argv in (
             ("twist", "--", str(HARD_SEMIPRIME), str(HARD_SEMIPRIME)),
@@ -199,7 +199,7 @@ class TestCount:
             n = -m % 1728
             js.append(str(Fraction(n, (n + m) // 1728)))
         assert js[2] == "233/173611111111817129629630"
-        families._least_curve.cache_clear()
+        families.fixed_j_family.cache_clear()
         for order in [js[2]], js, [js[2], *js[:2]]:
             code, out, err = run(capsys, "verify", "--bound", "1e6", "--j", ",".join(order))
             assert (code, out) == (6, "")

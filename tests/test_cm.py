@@ -89,13 +89,13 @@ class TestLeastCurvesByPointCounts:
 
     @pytest.mark.parametrize("order", CM_ORDERS, ids=lambda o: f"{o.disc}:{o.conductor}")
     def test_frobenius_in_the_order(self, order):
-        least, _ = families._least_curve(order.j)
+        least, _ = families.fixed_j_family(order.j)
         assert frobenius_outside_order(least, order.disc, order.conductor) == []
 
     @pytest.mark.parametrize("j, disc, f", [(-3375, -8, 1), (16581375, -7, 4)],
                              ids=["wrong-field", "wrong-conductor"])
     def test_wrong_order_fails(self, j, disc, f):
-        least, _ = families._least_curve(j)
+        least, _ = families.fixed_j_family(j)
         assert frobenius_outside_order(least, disc, f) != []
 
 

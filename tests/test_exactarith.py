@@ -381,6 +381,25 @@ class TestIsPrime:
         for n in range(-5, 10**4 + 1):
             assert is_prime(n) == is_prime_by_trial_division(n), n
 
+    @pytest.mark.parametrize("n, prime, rounds", [
+        ((10**15 + 37) * (10**15 + 91), False, 1),
+        (2**89 - 1, True, exactarith._MR_RANDOM_ROUNDS),
+    ], ids=["composite", "mersenne-prime"])
+    def test_seeded_witnesses_drawn_until_one_proves(self, monkeypatch, n, prime, rounds):
+        # past the deterministic bound the seeded witnesses are drawn one at
+        # a time: a composite stops at the first that proves it, a prime
+        # draws all of them
+        drawn = []
+
+        class CountingRandom(random.Random):
+            def randrange(self, *args):
+                drawn.append(args)
+                return super().randrange(*args)
+
+        monkeypatch.setattr(exactarith.random, "Random", CountingRandom)
+        assert is_prime(n) is prime
+        assert len(drawn) == rounds
+
 
 class TestMoebius:
     def test_examples(self):

@@ -307,7 +307,7 @@ class TestParametrization:
     @example(1728, Fraction(1, 1000), Fraction(1000), Fraction(10**36) - Fraction(1, 10**6))
     def test_special_j_bound_matches_height_reference(self, j, alpha, beta, x):
         spec = HeightSpec(alpha, beta)
-        least, r = families._least_curve(j)
+        least, r = families.fixed_j_family(j)
         assert param_bound(j, spec, x) == max_parameter_direct(least, r, spec, x)
 
 
@@ -597,7 +597,7 @@ class TestMinimalCurves:
             return cubic_param(a)
 
         monkeypatch.setattr(families, "cubic_param", counted)
-        families._least_curve.cache_clear()
+        families.fixed_j_family.cache_clear()
         j = Fraction(-3375)
         count_curves_with_j(j, CALIBRATED, 10**30)
         count_representatives_with_j(j, CALIBRATED, 10**30)
@@ -627,17 +627,17 @@ class TestMinimalCurves:
             j = Fraction(n, (n + m) // 1728)
             assert cubic_coefficient(j) == Fraction(4 * m, 27 * n)
             calls.clear()
-            families._least_curve.cache_clear()
+            families.fixed_j_family.cache_clear()
             (least, _), _ = minimal_curves(j, CALIBRATED)
             assert twist_decompose(twist(least, 6)) == (6, least)
             assert calls == splits
 
     def test_least_curve_cache_bounded(self):
-        families._least_curve.cache_clear()
+        families.fixed_j_family.cache_clear()
         for j in range(1, 400):
             if j != 1728:
                 param_bound(j, CALIBRATED, 10**9)
-        assert families._least_curve.cache_info().currsize == 256
+        assert families.fixed_j_family.cache_info().currsize == 256
 
     def test_table_rows(self):
         curves, h = minimal_curves(-262537412640768000, CALIBRATED)

@@ -2,10 +2,11 @@
 process pool nor ``dataclasses`` and ``inspect`` (every record is a
 NamedTuple), a default ``verify`` loads the census but no pool, none of
 them builds the prime runs of ``exactarith``, the package resolves its
-public names on first use, no module but the census reads a private name
-of ``exactarith``, the test referees read no private name of
-``families``, no power part is taken of another's result, and
-``exactarith`` keeps no state across calls but its Moebius sieve."""
+public names on first use, no module reads another's private name but
+the census, which reads ``exactarith._primes_to``, the test referees read
+no private name of ``families``, no power part is taken of another's
+result, and ``exactarith`` keeps no state across calls but its Moebius
+sieve."""
 
 import ast
 import importlib
@@ -18,7 +19,7 @@ import sys
 import pytest
 
 import nhc
-from nhc import asymptotics, cli, cm, cuspidal, exactarith, families, oracle
+from nhc import asymptotics, cli, cm, cuspidal, exactarith, families, heights, oracle
 
 import arith_reference
 
@@ -127,12 +128,15 @@ def private_names(module, source: str = "exactarith") -> set[str]:
     return names
 
 
-def test_formulas_factor_through_public_names():
-    # the formulas factor through power_part alone; the census's moduli,
-    # _primes_to, are the one private name read outside exactarith
-    modules = (families, cuspidal, cm, asymptotics, cli, oracle)
-    found = {module.__name__: private_names(module) for module in modules}
-    assert found == {module.__name__: set() for module in modules} | {"nhc.oracle": {"_primes_to"}}
+def test_modules_read_no_private_name_of_another():
+    # each module reads the others through their public names: the fixed-j
+    # rule through the FixedJFamily record, the formulas through power_part;
+    # the census's moduli, exactarith._primes_to, are the one exception
+    modules = (asymptotics, cli, cm, cuspidal, exactarith, families, heights, oracle)
+    found = {(module.__name__, source.__name__): names for module in modules for source in modules
+             if module is not source
+             and (names := private_names(module, source.__name__.rpartition(".")[2]))}
+    assert found == {("nhc.oracle", "nhc.exactarith"): {"_primes_to"}}
 
 
 def test_referees_read_no_private_name_of_families():
